@@ -1,0 +1,10 @@
+"""Put the benchmark's modules and the package under test on the path
+(run from the repository root: ``python3 -m pytest perfbench/tests``)."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH = os.path.dirname(HERE)
+sys.path.insert(0, BENCH)
+sys.path.insert(0, os.path.join(os.path.dirname(BENCH), "src"))
