@@ -26,6 +26,7 @@ from typing import List, Optional, Sequence, Union
 
 from .core import ProgramContext, build_context, check_program
 from .diagnostics import CheckError, Code, Reporter
+from .obs.gcscope import check_gc_scope
 from .stdlib import stdlib_context, stdlib_programs
 from .syntax import ast, parse_program
 
@@ -75,9 +76,10 @@ def check_source(source: str, filename: str = "<input>",
         from .pipeline import CheckSession
         with CheckSession(stdlib=stdlib, units=units, jobs=jobs) as session:
             return session.check(source, filename)
-    ctx, reporter = load_context(source, filename, stdlib, units, extra)
-    if reporter.ok:
-        check_program(ctx, reporter)
+    with check_gc_scope():
+        ctx, reporter = load_context(source, filename, stdlib, units, extra)
+        if reporter.ok:
+            check_program(ctx, reporter)
     return reporter
 
 

@@ -170,6 +170,11 @@ def _print_profile(session, file) -> int:
             print(f"  {label:<22} {profile[key] * 1000:8.1f} ms", file=file)
     if "plan" in profile:
         print(f"  {'schedule':<22} {profile['plan']}", file=file)
+    if "gc" in profile:
+        gc_stats = profile["gc"]
+        print(f"  {'gc':<22} {gc_stats['pause_seconds'] * 1000:8.1f} ms "
+              f"in {gc_stats['collections']} collections "
+              f"({gc_stats['gen2_collections']} gen-2)", file=file)
     print(f"  {'functions checked':<22} {stats.functions_checked:8d}",
           file=file)
     print(f"  {'functions replayed':<22} {stats.functions_replayed:8d}",

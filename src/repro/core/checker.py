@@ -103,10 +103,44 @@ def match_signatures(want: Signature, have: Signature,
     """
     if len(want.params) != len(have.params):
         return "different arity"
-    key_map: Dict[object, object] = {}
-    state_map: Dict[object, object] = {}
+    return _SignatureMatcher(subst).match(want, have)
 
-    def match_key(wk, hk) -> bool:
+
+class _SignatureMatcher:
+    """The unifier behind :func:`match_signatures`.  Its mutually
+    recursive parts are methods, not local closures, so a match leaves
+    no reference cycle behind (docs/CHECKER.md, "Memory and GC")."""
+
+    def __init__(self, subst: Subst) -> None:
+        self.subst = subst
+        self.key_map: Dict[object, object] = {}
+        self.state_map: Dict[object, object] = {}
+
+    def match(self, want: Signature, have: Signature) -> Optional[str]:
+        subst = self.subst
+        for index, (wp, hp) in enumerate(zip(want.params, have.params)):
+            if not self.match_type(subst.ctype(wp.type), hp.type):
+                return f"parameter {index + 1} differs"
+        if not self.match_type(subst.ctype(want.ret), have.ret):
+            return "result type differs"
+
+        if len(want.effect.items) != len(have.effect.items):
+            return "effect clauses differ"
+        for wi, hi in zip(want.effect.items, have.effect.items):
+            if wi.mode != hi.mode:
+                return "effect clauses differ"
+            if not self.match_key(wi.key, hi.key):
+                return f"effect key '{wi.key}' differs"
+            if not self.match_req(wi.pre, hi.pre):
+                return "effect precondition differs"
+            wpost = wi.post if wi.post is not None else wi.pre
+            hpost = hi.post if hi.post is not None else hi.pre
+            if not self.match_req(wpost, hpost):
+                return "effect postcondition differs"
+        return None
+
+    def match_key(self, wk, hk) -> bool:
+        key_map = self.key_map
         if isinstance(wk, Key) or isinstance(hk, Key):
             if isinstance(wk, Key) and isinstance(hk, Key):
                 return wk is hk
@@ -126,90 +160,69 @@ def match_signatures(want: Signature, have: Signature,
             return True
         return prev == hn
 
-    def match_state_value(wv, hv) -> bool:
+    def match_state_value(self, wv, hv) -> bool:
         w_var = isinstance(wv, (StateVarRef, StateVar))
         h_var = isinstance(hv, (StateVarRef, StateVar))
         if w_var or h_var:
             wn = getattr(wv, "name", wv)
             hn = getattr(hv, "name", hv)
-            prev = state_map.get(("w", wn))
+            prev = self.state_map.get(("w", wn))
             if prev is None:
-                state_map[("w", wn)] = hn
+                self.state_map[("w", wn)] = hn
                 return True
             return prev == hn
         return wv == hv
 
-    def match_req(wr: StateReq, hr: StateReq) -> bool:
+    def match_req(self, wr: StateReq, hr: StateReq) -> bool:
         if isinstance(wr, AnyState) and isinstance(hr, AnyState):
             return True
         if isinstance(wr, ExactState) and isinstance(hr, ExactState):
-            return match_state_value(wr.state, hr.state)
+            return self.match_state_value(wr.state, hr.state)
         if isinstance(wr, AtMostState) and isinstance(hr, AtMostState):
             return wr.bound == hr.bound
         return False
 
-    def match_type(wt: CType, ht: CType) -> bool:
+    def match_type(self, wt: CType, ht: CType) -> bool:
         if wt is ht:
             # Interned declaration types collapse structural equality
             # to identity when neither side binds variables.
             return True
         if isinstance(wt, CTypeVar):
-            return subst.bind_type(wt.name, ht)
+            return self.subst.bind_type(wt.name, ht)
         if isinstance(wt, CBase) and isinstance(ht, CBase):
             return wt.name == ht.name
         if isinstance(wt, CArray) and isinstance(ht, CArray):
-            return match_type(wt.elem, ht.elem)
+            return self.match_type(wt.elem, ht.elem)
         if isinstance(wt, CTracked) and isinstance(ht, CTracked):
-            return match_key(wt.key, ht.key) and \
-                match_type(wt.inner, ht.inner)
+            return self.match_key(wt.key, ht.key) and \
+                self.match_type(wt.inner, ht.inner)
         if isinstance(wt, CPacked) and isinstance(ht, CPacked):
-            return match_req(wt.state, ht.state) and \
-                match_type(wt.inner, ht.inner)
+            return self.match_req(wt.state, ht.state) and \
+                self.match_type(wt.inner, ht.inner)
         if isinstance(wt, CGuarded) and isinstance(ht, CGuarded):
             if len(wt.guards) != len(ht.guards):
                 return False
             for (wk, wr), (hk, hr) in zip(wt.guards, ht.guards):
-                if not match_key(wk, hk) or not match_req(wr, hr):
+                if not self.match_key(wk, hk) or not self.match_req(wr, hr):
                     return False
-            return match_type(wt.inner, ht.inner)
+            return self.match_type(wt.inner, ht.inner)
         if isinstance(wt, CNamed) and isinstance(ht, CNamed):
             if wt.name != ht.name or len(wt.args) != len(ht.args):
                 return False
             for wa, ha in zip(wt.args, ht.args):
                 if wa.kind != ha.kind:
                     return False
-                if wa.kind == "type" and not match_type(wa.type, ha.type):
+                if wa.kind == "type" and not self.match_type(wa.type, ha.type):
                     return False
-                if wa.kind == "key" and not match_key(wa.key, ha.key):
+                if wa.kind == "key" and not self.match_key(wa.key, ha.key):
                     return False
                 if wa.kind == "state" and \
-                        not match_state_value(wa.state, ha.state):
+                        not self.match_state_value(wa.state, ha.state):
                     return False
             return True
         if isinstance(wt, CFun) and isinstance(ht, CFun):
-            return match_signatures(wt.sig, ht.sig, subst) is None
+            return match_signatures(wt.sig, ht.sig, self.subst) is None
         return wt == ht
-
-    for index, (wp, hp) in enumerate(zip(want.params, have.params)):
-        if not match_type(subst.ctype(wp.type), hp.type):
-            return f"parameter {index + 1} differs"
-    if not match_type(subst.ctype(want.ret), have.ret):
-        return "result type differs"
-
-    if len(want.effect.items) != len(have.effect.items):
-        return "effect clauses differ"
-    for wi, hi in zip(want.effect.items, have.effect.items):
-        if wi.mode != hi.mode:
-            return "effect clauses differ"
-        if not match_key(wi.key, hi.key):
-            return f"effect key '{wi.key}' differs"
-        if not match_req(wi.pre, hi.pre):
-            return "effect precondition differs"
-        wpost = wi.post if wi.post is not None else wi.pre
-        hpost = hi.post if hi.post is not None else hi.pre
-        if not match_req(wpost, hpost):
-            return "effect postcondition differs"
-    return None
 
 
 def check_program(ctx: ProgramContext, reporter: Reporter,
@@ -305,6 +318,30 @@ def req_state(req: StateReq, subst: Subst) -> State:
         return StateVar(req.var, req.bound)
     # AnyState: nothing is known statically — a fresh symbolic state.
     return StateVar("s")
+
+
+def _is_concrete(t: CType) -> bool:
+    """Whether ``t`` is fully instantiated: no type variables, and no
+    key variables in tracked types, guards or key arguments."""
+    if isinstance(t, CTypeVar):
+        return False
+    if isinstance(t, CTracked):
+        return isinstance(t.key, Key) and _is_concrete(t.inner)
+    if isinstance(t, CPacked):
+        return _is_concrete(t.inner)
+    if isinstance(t, CGuarded):
+        return all(isinstance(k, Key) for k, _ in t.guards) \
+            and _is_concrete(t.inner)
+    if isinstance(t, CNamed):
+        for a in t.args:
+            if a.kind == "type" and not _is_concrete(a.type):
+                return False
+            if a.kind == "key" and not isinstance(a.key, Key):
+                return False
+        return True
+    if isinstance(t, CArray):
+        return _is_concrete(t.elem)
+    return True
 
 
 class FnChecker:
@@ -475,35 +512,34 @@ class FnChecker:
     def _key_vars_in_params(sig: Signature) -> set:
         found = set()
         for param in sig.params:
-            found |= FnChecker._key_vars_in_type(param.type)
+            FnChecker._key_vars_in_type(param.type, found)
         return found
 
     @staticmethod
-    def _key_vars_in_type(ctype: CType) -> set:
-        found = set()
-
-        def walk(t: CType) -> None:
-            if isinstance(t, CTracked):
-                if isinstance(t.key, KeyVarRef):
-                    found.add(t.key.name)
-                walk(t.inner)
-            elif isinstance(t, CPacked):
-                walk(t.inner)
-            elif isinstance(t, CGuarded):
-                for k, _ in t.guards:
-                    if isinstance(k, KeyVarRef):
-                        found.add(k.name)
-                walk(t.inner)
-            elif isinstance(t, CArray):
-                walk(t.elem)
-            elif isinstance(t, CNamed):
-                for arg in t.args:
-                    if arg.kind == "key" and isinstance(arg.key, KeyVarRef):
-                        found.add(arg.key.name)
-                    elif arg.kind == "type" and arg.type is not None:
-                        walk(arg.type)
-
-        walk(ctype)
+    def _key_vars_in_type(ctype: CType, found: Optional[set] = None) -> set:
+        """The key variables ``ctype`` names, added to ``found``."""
+        if found is None:
+            found = set()
+        walk = FnChecker._key_vars_in_type
+        if isinstance(ctype, CTracked):
+            if isinstance(ctype.key, KeyVarRef):
+                found.add(ctype.key.name)
+            walk(ctype.inner, found)
+        elif isinstance(ctype, CPacked):
+            walk(ctype.inner, found)
+        elif isinstance(ctype, CGuarded):
+            for k, _ in ctype.guards:
+                if isinstance(k, KeyVarRef):
+                    found.add(k.name)
+            walk(ctype.inner, found)
+        elif isinstance(ctype, CArray):
+            walk(ctype.elem, found)
+        elif isinstance(ctype, CNamed):
+            for arg in ctype.args:
+                if arg.kind == "key" and isinstance(arg.key, KeyVarRef):
+                    found.add(arg.key.name)
+                elif arg.kind == "type" and arg.type is not None:
+                    walk(arg.type, found)
         return found
 
     def _enter_param(self, ptype: CType, param: SigParam,
@@ -1679,27 +1715,7 @@ class FnChecker:
     @staticmethod
     def _concrete_or_none(ctype: CType) -> Optional[CType]:
         """Only propagate fully-instantiated expected types."""
-        def concrete(t: CType) -> bool:
-            if isinstance(t, (CTypeVar,)):
-                return False
-            if isinstance(t, CTracked):
-                return isinstance(t.key, Key) and concrete(t.inner)
-            if isinstance(t, CPacked):
-                return concrete(t.inner)
-            if isinstance(t, CGuarded):
-                return all(isinstance(k, Key) for k, _ in t.guards) \
-                    and concrete(t.inner)
-            if isinstance(t, CNamed):
-                for a in t.args:
-                    if a.kind == "type" and not concrete(a.type):
-                        return False
-                    if a.kind == "key" and not isinstance(a.key, Key):
-                        return False
-                return True
-            if isinstance(t, CArray):
-                return concrete(t.elem)
-            return True
-        return ctype if concrete(ctype) else None
+        return ctype if _is_concrete(ctype) else None
 
     def _match_param(self, declared: CType, actual: CType, subst: Subst,
                      span: Span, consumed: List[Tuple[Key, Span]]) -> None:

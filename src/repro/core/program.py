@@ -198,26 +198,8 @@ def build_context(programs: List[ast.Program],
     #: context's modules are not re-checked (and their extern interface
     #: functions not re-registered).
     new_modules: List[ast.ModuleDecl] = []
-
-    def walk(decls: List[ast.Decl], module: Optional[str]) -> None:
-        for decl in decls:
-            if isinstance(decl, ast.InterfaceDecl):
-                if decl.name in ctx.interfaces:
-                    reporter.error(Code.DUPLICATE_NAME,
-                                   f"duplicate interface '{decl.name}'",
-                                   decl.span)
-                ctx.interfaces[decl.name] = decl.decls
-                walk([d for d in decl.decls
-                      if not isinstance(d, (ast.FunDecl, ast.FunDef))], None)
-            elif isinstance(decl, ast.ModuleDecl):
-                ctx.modules[decl.name] = decl
-                new_modules.append(decl)
-                walk(decl.decls, decl.name)
-            else:
-                flat.append((module, decl))
-
     for prog in programs:
-        walk(prog.decls, None)
+        _flatten_decls(prog.decls, None, ctx, reporter, flat, new_modules)
 
     # Phase 1: statesets and global keys.
     for module, decl in flat:
@@ -372,6 +354,37 @@ def build_context(programs: List[ast.Program],
     return ctx
 
 
+def _flatten_decls(decls: List[ast.Decl], module: Optional[str],
+                   ctx: ProgramContext, reporter: Reporter,
+                   flat: List[Tuple[Optional[str], ast.Decl]],
+                   new_modules: List[ast.ModuleDecl]) -> None:
+    """Register interfaces and modules, appending every other
+    declaration to ``flat`` tagged with its enclosing module.
+
+    A module-level function rather than a local closure: a recursive
+    closure is a function -> cell -> function cycle that would pin
+    ``ctx`` and the unit's AST until a full GC pass (docs/CHECKER.md,
+    "Memory and GC").
+    """
+    for decl in decls:
+        if isinstance(decl, ast.InterfaceDecl):
+            if decl.name in ctx.interfaces:
+                reporter.error(Code.DUPLICATE_NAME,
+                               f"duplicate interface '{decl.name}'",
+                               decl.span)
+            ctx.interfaces[decl.name] = decl.decls
+            _flatten_decls([d for d in decl.decls
+                            if not isinstance(d, (ast.FunDecl, ast.FunDef))],
+                           None, ctx, reporter, flat, new_modules)
+        elif isinstance(decl, ast.ModuleDecl):
+            ctx.modules[decl.name] = decl
+            new_modules.append(decl)
+            _flatten_decls(decl.decls, decl.name, ctx, reporter, flat,
+                           new_modules)
+        else:
+            flat.append((module, decl))
+
+
 def _exact_default():
     from .types import ExactState
     return ExactState(DEFAULT_STATE)
@@ -453,71 +466,82 @@ def signatures_alpha_equal(a: Signature, b: Signature) -> bool:
 
 def _normal_form(sig: Signature) -> str:
     """Render a signature with its variables numbered in first-use order."""
-    names: Dict[str, str] = {}
+    return _NormalForm().signature(sig)
 
-    def canon(name: str, prefix: str) -> str:
+
+class _NormalForm:
+    """The renderer behind :func:`_normal_form`.  Methods rather than
+    mutually recursive local closures, which would form a reference
+    cycle per call."""
+
+    def __init__(self) -> None:
+        self.names: Dict[str, str] = {}
+
+    def canon(self, name: str, prefix: str) -> str:
         key = f"{prefix}:{name}"
-        if key not in names:
-            names[key] = f"{prefix}{len(names)}"
-        return names[key]
+        if key not in self.names:
+            self.names[key] = f"{prefix}{len(self.names)}"
+        return self.names[key]
 
-    def walk_type(t: CType) -> str:
+    def signature(self, sig: Signature) -> str:
+        params = ",".join(self.type(p.type) for p in sig.params)
+        effect = ",".join(
+            f"{i.mode}:{self.effect_key(i.key, sig)}"
+            f"@{self.req(i.pre)}->{self.req(i.post) if i.post else '='}"
+            for i in sig.effect.items)
+        return f"({params})->{self.type(sig.ret)}[{effect}]"
+
+    def type(self, t: CType) -> str:
         from .types import (CArray, CBase, CFun, CGuarded, CNamed, CPacked,
                             CTracked, CTypeVar)
         if isinstance(t, CBase):
             return t.name
         if isinstance(t, CTypeVar):
-            return canon(t.name, "t")
+            return self.canon(t.name, "t")
         if isinstance(t, CArray):
-            return walk_type(t.elem) + "[]"
+            return self.type(t.elem) + "[]"
         if isinstance(t, CTracked):
-            return f"tracked({walk_key(t.key)}) {walk_type(t.inner)}"
+            return f"tracked({self.key(t.key)}) {self.type(t.inner)}"
         if isinstance(t, CPacked):
-            return f"tracked {walk_type(t.inner)}@{walk_req(t.state)}"
+            return f"tracked {self.type(t.inner)}@{self.req(t.state)}"
         if isinstance(t, CGuarded):
-            gs = ",".join(f"{walk_key(k)}@{walk_req(r)}" for k, r in t.guards)
-            return f"[{gs}]:{walk_type(t.inner)}"
+            gs = ",".join(f"{self.key(k)}@{self.req(r)}"
+                          for k, r in t.guards)
+            return f"[{gs}]:{self.type(t.inner)}"
         if isinstance(t, CNamed):
-            args = ",".join(walk_arg(arg) for arg in t.args)
+            args = ",".join(self.arg(arg) for arg in t.args)
             return f"{t.name}<{args}>"
         if isinstance(t, CFun):
             return _normal_form(t.sig)
         return repr(t)
 
-    def walk_key(k) -> str:
+    def key(self, k) -> str:
         if isinstance(k, KeyVarRef):
-            return canon(k.name, "k")
+            return self.canon(k.name, "k")
         return repr(k)
 
-    def walk_req(r) -> str:
+    def req(self, r) -> str:
         from .types import AnyState, AtMostState, ExactState
         if isinstance(r, AnyState):
             return "*"
         if isinstance(r, AtMostState):
-            return f"({canon(r.var, 's')}<={r.bound})"
+            return f"({self.canon(r.var, 's')}<={r.bound})"
         if isinstance(r, ExactState):
             if isinstance(r.state, StateVarRef):
-                return canon(r.state.name, "s")
+                return self.canon(r.state.name, "s")
             return str(r.state)
         return repr(r)
 
-    def walk_arg(arg) -> str:
+    def arg(self, arg) -> str:
         if arg.kind == "type":
-            return walk_type(arg.type)
+            return self.type(arg.type)
         if arg.kind == "key":
-            return walk_key(arg.key)
+            return self.key(arg.key)
         if isinstance(arg.state, StateVarRef):
-            return canon(arg.state.name, "s")
+            return self.canon(arg.state.name, "s")
         return str(arg.state)
 
-    def effect_key(k) -> str:
+    def effect_key(self, k, sig: Signature) -> str:
         if isinstance(k, str):
-            return canon(k, "k") if k in sig.key_vars else k
+            return self.canon(k, "k") if k in sig.key_vars else k
         return repr(k)
-
-    params = ",".join(walk_type(p.type) for p in sig.params)
-    effect = ",".join(
-        f"{i.mode}:{effect_key(i.key)}"
-        f"@{walk_req(i.pre)}->{walk_req(i.post) if i.post else '='}"
-        for i in sig.effect.items)
-    return f"({params})->{walk_type(sig.ret)}[{effect}]"

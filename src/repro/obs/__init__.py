@@ -21,6 +21,11 @@ serve --prom-file``).  :class:`repro.obs.trace.TraceRing` is the
 bounded on-disk ring the daemon's slow-request capture writes
 Chrome-trace JSON into.
 
+:mod:`repro.obs.gcscope` holds the garbage-collector policy of one
+check (a raised gen-0 threshold, restored afterwards) and the
+``gc.callbacks`` hook behind the per-check GC numbers in
+``telemetry.profile["gc"]``.
+
 ``Telemetry()`` with no arguments is the **disabled** configuration:
 the tracer and metrics are shared null singletons whose operations are
 no-ops, so instrumented code costs an attribute check per callsite and

@@ -58,6 +58,7 @@ from ..core import build_context, check_function_diagnostics
 from ..core.checker import MAX_LOOP_ITERATIONS
 from ..diagnostics import Diagnostic, Reporter, VaultError
 from ..obs import Telemetry
+from ..obs.gcscope import check_gc_scope
 from ..obs.trace import activate as activate_tracer
 from ..stdlib import stdlib_context, stdlib_source
 from ..stdlib.loader import base_context_cache_info
@@ -328,23 +329,25 @@ class CheckSession:
         profile = self.telemetry.profile
         started = time.perf_counter()
         tracer = self.telemetry.tracer
-        try:
-            with activate_tracer(tracer), \
-                    tracer.span("check_unit", filename=filename):
-                return self._check_inner(source, filename, jobs, profile,
-                                         started)
-        except BaseException as exc:
-            # A crash mid-check must not masquerade as a clean (empty)
-            # profile: mark it, so post-hoc consumers can tell a
-            # partial record from a fast one.
-            profile["aborted"] = True
-            profile["error"] = f"{type(exc).__name__}: {exc}"
-            self.telemetry.events.emit(
-                "check_aborted", f"check of {filename} raised: {exc}",
-                filename=filename, error=profile["error"])
-            raise
-        finally:
-            profile["total_seconds"] = time.perf_counter() - started
+        with check_gc_scope() as gc_scope:
+            try:
+                with activate_tracer(tracer), \
+                        tracer.span("check_unit", filename=filename):
+                    return self._check_inner(source, filename, jobs,
+                                             profile, started)
+            except BaseException as exc:
+                # A crash mid-check must not masquerade as a clean
+                # (empty) profile: mark it, so post-hoc consumers can
+                # tell a partial record from a fast one.
+                profile["aborted"] = True
+                profile["error"] = f"{type(exc).__name__}: {exc}"
+                self.telemetry.events.emit(
+                    "check_aborted", f"check of {filename} raised: {exc}",
+                    filename=filename, error=profile["error"])
+                raise
+            finally:
+                profile["total_seconds"] = time.perf_counter() - started
+                profile["gc"] = gc_scope.snapshot()
 
     def _check_inner(self, source: str, filename: str,
                      jobs: Optional[Union[int, str]],

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -139,6 +140,11 @@ class TestObservability:
         assert "check" in err
         assert "functions checked" in err
         assert "functions replayed" in err
+        # One GC row from the check's gc.callbacks hook.
+        gc_rows = re.findall(
+            r"^  gc +\d+\.\d ms in \d+ collections \(\d+ gen-2\)$",
+            err, re.M)
+        assert len(gc_rows) == 1, err
 
     def test_trace_emits_valid_chrome_json(self, good_file, tmp_path,
                                            capsys):
