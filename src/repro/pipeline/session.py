@@ -63,8 +63,6 @@ from ..obs.trace import activate as activate_tracer
 from ..stdlib import stdlib_context, stdlib_source
 from ..stdlib.loader import base_context_cache_info
 from ..syntax import ast, parse_program, tokenize
-from ..syntax.intern import AST_POOL
-from ..syntax.relex import relex
 from ..syntax.tokens import T, Token
 from .chunks import Chunk, ChunkError, split_chunks
 from .faults import FaultPlan
@@ -76,10 +74,6 @@ from .workers import WorkerCrash, WorkerPool, fork_available
 #: caps on the in-memory caches; on overflow the oldest half is evicted.
 _MAX_CONTEXTS = 64
 _MAX_CHUNK_ASTS = 8192
-#: per-chunk token streams (and their interface digests) kept beside
-#: the chunk-AST cache; streams are bigger than ASTs per entry, so the
-#: cap is lower.
-_MAX_TOKEN_STREAMS = 4096
 #: summary/cost caches are bounded too — a session embedded in a
 #: long-running daemon sees an unbounded stream of distinct sources,
 #: and before these caps its summary and cost maps grew forever.
@@ -135,12 +129,6 @@ class SessionStats:
         self.parallel_runs = 0
         self.serial_fallbacks = 0
         self.pool_spawns = 0
-        # front-end cache counters (mirrored by ``cache.tokens.*`` /
-        # ``relex.*`` metrics when the registry is enabled)
-        self.token_hits = 0
-        self.token_misses = 0
-        self.relex_splices = 0
-        self.relex_fallbacks = 0
         self.fingerprints_memoized = 0
         # resilience counters (mirrored by the ``resilience.*``
         # metrics when the registry is enabled)
@@ -276,17 +264,12 @@ class CheckSession:
         #: ``Telemetry(trace=True, metrics=True)`` to instrument.
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.telemetry.stats = self.stats
-        self._ast_cache: Dict[Tuple[str, int, int], ast.Program] = {}
-        #: per-chunk token streams, keyed like the chunk-AST cache;
-        #: each entry keeps the chunk text (the relexer diffs against
-        #: it) and the lexed stream.
-        self._token_cache: Dict[Tuple[str, int, int],
-                                Tuple[str, List[Token]]] = {}
-        #: per-chunk interface digests (see ``_interface_part``).
-        self._iface_cache: Dict[Tuple[str, int, int], str] = {}
-        #: chunk keys of the previous check per filename — the
-        #: relexer's candidates for "the same declaration, edited".
-        self._chunk_history: Dict[str, List[Tuple[str, int, int]]] = {}
+        #: the front end's only incremental state: per chunk, keyed by
+        #: (content hash, start line, start column), the parsed AST and
+        #: the chunk's interface digest (see ``_interface_part``).  A
+        #: chunk's tokens live only while it is parsed.
+        self._ast_cache: Dict[Tuple[str, int, int],
+                              Tuple[ast.Program, str]] = {}
         self._ctx_cache: Dict[tuple, _CtxEntry] = {}
         self._summaries: Dict[str, _Summary] = {}
         self._cost_by_qual: Dict[str, float] = {}
@@ -482,13 +465,9 @@ class CheckSession:
                           for c in chunks]
             key: tuple = (filename, self.units, self.stdlib,
                           tuple(chunk_keys))
-            prev_keys = self._chunk_history.get(filename)
-            self._chunk_history[filename] = chunk_keys
         else:
             chunk_keys = []
             key = (filename, self.units, self.stdlib, _sha(source))
-            prev_keys = None
-            self._chunk_history.pop(filename, None)
         entry = self._ctx_cache.get(key)
         if entry is not None:
             self.stats.context_hits += 1
@@ -499,7 +478,7 @@ class CheckSession:
         if metrics.enabled:
             metrics.counter("cache.context.misses").inc()
         programs, env_token = self._parse(source, filename, chunks,
-                                          chunk_keys, prev_keys)
+                                          chunk_keys)
         sub = Reporter()
         with self.telemetry.tracer.span("elaborate"):
             ctx = build_context(programs, sub, base=base)
@@ -511,8 +490,7 @@ class CheckSession:
 
     def _parse(self, source: str, filename: str,
                chunks: Optional[List[Chunk]],
-               chunk_keys: List[Tuple[str, int, int]],
-               prev_keys: Optional[List[Tuple[str, int, int]]]
+               chunk_keys: List[Tuple[str, int, int]]
                ) -> Tuple[List[ast.Program], str]:
         metrics = self.telemetry.metrics
         tracer = self.telemetry.tracer
@@ -522,42 +500,32 @@ class CheckSession:
                 self._unit_env_token(source, filename)
         programs: List[ast.Program] = []
         iface_parts: List[str] = []
-        pool_hits, pool_misses = AST_POOL.hits, AST_POOL.misses
         try:
-            for idx, chunk in enumerate(chunks):
-                ckey = chunk_keys[idx]
-                with tracer.span("token_cache"):
-                    cached = self._token_cache.get(ckey)
-                tokens: Optional[List[Token]] = None
-                if cached is not None:
-                    tokens = cached[1]
-                    self.stats.token_hits += 1
-                    if metrics.enabled:
-                        metrics.counter("cache.tokens.hits").inc()
-                prog = self._ast_cache.get(ckey)
-                if prog is None:
-                    if tokens is None:
-                        self.stats.token_misses += 1
-                        if metrics.enabled:
-                            metrics.counter("cache.tokens.misses").inc()
-                        tokens = self._lex_chunk(chunk, ckey, filename,
-                                                 prev_keys, idx)
+            for chunk, ckey in zip(chunks, chunk_keys):
+                cached = self._ast_cache.get(ckey)
+                if cached is None:
+                    # Lexed once: the stream feeds the parser and the
+                    # interface digest, then is dropped.
+                    with tracer.span("lex", filename=filename):
+                        tokens = tokenize(chunk.text, filename,
+                                          chunk.start_line, chunk.start_col)
                     prog = parse_program(chunk.text, filename,
                                          first_line=chunk.start_line,
                                          first_col=chunk.start_col,
                                          tokens=tokens)
+                    cached = (prog, self._interface_part(ckey, tokens))
                     self.stats.chunk_parses += 1
                     if metrics.enabled:
                         metrics.counter("cache.chunk_ast.misses").inc()
                     if len(self._ast_cache) >= _MAX_CHUNK_ASTS:
                         self._evict_traced(self._ast_cache, "chunk_ast")
-                    self._ast_cache[ckey] = prog
+                    self._ast_cache[ckey] = cached
                 else:
                     self.stats.chunk_hits += 1
                     if metrics.enabled:
                         metrics.counter("cache.chunk_ast.hits").inc()
-                iface_parts.append(self._interface_part(ckey, tokens))
-                programs.append(prog)
+                programs.append(cached[0])
+                iface_parts.append(cached[1])
         except VaultError:
             # A chunk the scanner mis-split (or a genuine syntax
             # error): parse the whole unit so errors are reported
@@ -565,63 +533,10 @@ class CheckSession:
             self.stats.whole_parses += 1
             return [parse_program(source, filename)], \
                 self._unit_env_token(source, filename)
-        if metrics.enabled:
-            delta_hits = AST_POOL.hits - pool_hits
-            delta_misses = AST_POOL.misses - pool_misses
-            if delta_hits:
-                metrics.counter("cache.ast_pool.hits").inc(delta_hits)
-            if delta_misses:
-                metrics.counter("cache.ast_pool.misses").inc(delta_misses)
         env_token = _sha("\x00".join(iface_parts)
                          + f"\x00{filename}\x00{self.units!r}"
                            f"\x00{self.stdlib!r}")
         return programs, env_token
-
-    def _lex_chunk(self, chunk: Chunk, ckey: Tuple[str, int, int],
-                   filename: str,
-                   prev_keys: Optional[List[Tuple[str, int, int]]],
-                   idx: int) -> List[Token]:
-        """Token stream for one chunk: an incremental splice against
-        the previous check's chunk at the same slot when possible, a
-        full lex otherwise.  Either way the stream is cached."""
-        tracer = self.telemetry.tracer
-        metrics = self.telemetry.metrics
-        tokens: Optional[List[Token]] = None
-        if prev_keys is not None and idx < len(prev_keys):
-            pkey = prev_keys[idx]
-            # Same slot, same position, different text: the shape of a
-            # sub-chunk edit.  A chunk that also moved (an edit above
-            # it changed line numbers) falls back to a full lex — the
-            # splice only rebases spans within the chunk.
-            if pkey != ckey and pkey[1] == chunk.start_line \
-                    and pkey[2] == chunk.start_col:
-                prev = self._token_cache.get(pkey)
-                if prev is not None:
-                    with tracer.span("relex"):
-                        spliced = relex(prev[0], prev[1], chunk.text,
-                                        filename, chunk.start_line,
-                                        chunk.start_col)
-                    if spliced is not None:
-                        tokens = spliced.tokens
-                        self.stats.relex_splices += 1
-                        if metrics.enabled:
-                            metrics.counter("relex.splices").inc()
-                            metrics.counter("relex.tokens_reused").inc(
-                                spliced.reused)
-                            metrics.counter("relex.tokens_fresh").inc(
-                                spliced.fresh)
-                    else:
-                        self.stats.relex_fallbacks += 1
-                        if metrics.enabled:
-                            metrics.counter("relex.fallbacks").inc()
-        if tokens is None:
-            with tracer.span("lex", filename=filename):
-                tokens = tokenize(chunk.text, filename,
-                                  chunk.start_line, chunk.start_col)
-        if len(self._token_cache) >= _MAX_TOKEN_STREAMS:
-            self._evict_traced(self._token_cache, "tokens")
-        self._token_cache[ckey] = (chunk.text, tokens)
-        return tokens
 
     #: first-token kinds of chunks whose whole text is their interface
     #: (type/variant/struct/stateset/key declarations, interfaces and
@@ -633,7 +548,7 @@ class CheckSession:
     })
 
     def _interface_part(self, ckey: Tuple[str, int, int],
-                        tokens: Optional[List[Token]]) -> str:
+                        tokens: List[Token]) -> str:
         """One chunk's contribution to the context-wide env token.
 
         For a function-definition chunk only the header (tokens up to
@@ -642,29 +557,16 @@ class CheckSession:
         the env token, that is the whole point of the memo.  Any chunk
         led by a declaration keyword digests its full text —
         conservative, but those chunks can define types, keys or whole
-        modules whose every detail other fingerprints may see.  With no
-        token stream at hand (chunk-AST hit after token-cache
-        eviction) the content hash stands in, which can only make the
-        token *more* conservative.
+        modules whose every detail other fingerprints may see.
         """
-        part = self._iface_cache.get(ckey)
-        if part is not None:
-            return part
-        if tokens is None:
-            return ckey[0]          # content hash: always conservative
         if tokens and tokens[0].kind in self._DECL_CHUNK_KINDS:
-            part = ckey[0]
-        else:
-            header: List[str] = []
-            for tok in tokens:
-                if tok.kind is T.LBRACE:
-                    break
-                header.append(tok.text)
-            part = "\x1f".join(header)
-        if len(self._iface_cache) >= _MAX_TOKEN_STREAMS:
-            self._evict_traced(self._iface_cache, "iface")
-        self._iface_cache[ckey] = part
-        return part
+            return ckey[0]
+        header: List[str] = []
+        for tok in tokens:
+            if tok.kind is T.LBRACE:
+                break
+            header.append(tok.text)
+        return "\x1f".join(header)
 
     def _unit_env_token(self, source: str, filename: str) -> str:
         """Env token for the whole-unit (non-chunked) parse path."""

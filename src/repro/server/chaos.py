@@ -26,6 +26,9 @@ The faults, as seen by the client:
 
 Threading: one acceptor thread plus one thread per client connection —
 the proxy must keep relaying while a ``stall`` victim sits blocked.
+Shutdown is wakeup-driven: :meth:`ChaosProxy.close` shuts down the
+listener and every open client/upstream socket, so each blocked
+``accept``/``recv`` returns at once and the threads exit.
 The daemon side stays oblivious; nothing here touches daemon state.
 Test-only machinery, exercised by ``tests/test_server.py`` and
 ``benchmarks/daemon_chaos_smoke.py``.
@@ -38,7 +41,7 @@ import socket
 import struct
 import threading
 from collections import Counter
-from typing import List, Optional
+from typing import List, Optional, Set
 
 from ..pipeline.faults import FaultPlan
 from .protocol import HEADER_SIZE, MAX_FRAME, encode_frame
@@ -46,6 +49,15 @@ from .protocol import HEADER_SIZE, MAX_FRAME, encode_frame
 __all__ = ["ChaosProxy"]
 
 _HEADER = struct.Struct("!I")
+
+
+def _shutdown(sock: socket.socket) -> None:
+    """Wake every thread blocked on ``sock`` (its accept or recv
+    returns at once)."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass                    # already closed or never connected
 
 
 def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
@@ -97,6 +109,8 @@ class ChaosProxy:
         self._lock = threading.Lock()
         self._stop = False
         self._threads: List[threading.Thread] = []
+        #: open client and upstream sockets, shut down by ``close``.
+        self._socks: Set[socket.socket] = set()
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
 
@@ -115,8 +129,11 @@ class ChaosProxy:
         return self
 
     def close(self) -> None:
-        self._stop = True
+        with self._lock:
+            self._stop = True
+            socks = list(self._socks)
         if self._listener is not None:
+            _shutdown(self._listener)
             try:
                 self._listener.close()
             except OSError:
@@ -129,6 +146,10 @@ class ChaosProxy:
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=2.0)
             self._accept_thread = None
+        # No socket is tracked after ``_stop`` is set, so this wakes
+        # every relay thread still blocked in a recv.
+        for sock in socks:
+            _shutdown(sock)
         for thread in self._threads:
             thread.join(timeout=2.0)
         self._threads = []
@@ -153,11 +174,23 @@ class ChaosProxy:
             self.requests_seen += 1
             return index
 
+    def _track(self, sock: socket.socket) -> bool:
+        """Register ``sock`` for shutdown by :meth:`close`; False (and
+        the socket closed) once the proxy is stopping."""
+        with self._lock:
+            if not self._stop:
+                self._socks.add(sock)
+                return True
+        sock.close()
+        return False
+
     def _accept_loop(self) -> None:
         while not self._stop:
             try:
                 client, _addr = self._listener.accept()
             except OSError:
+                return
+            if not self._track(client):
                 return
             thread = threading.Thread(
                 target=self._serve_client, args=(client,),
@@ -198,6 +231,9 @@ class ChaosProxy:
                 if upstream is None:
                     upstream = socket.socket(socket.AF_UNIX,
                                              socket.SOCK_STREAM)
+                    if not self._track(upstream):
+                        upstream = None
+                        return
                     upstream.connect(self.upstream_path)
                 upstream.sendall(raw)
                 reply = _read_raw_frame(upstream)
@@ -213,6 +249,8 @@ class ChaosProxy:
         finally:
             for sock in (client, upstream):
                 if sock is not None:
+                    with self._lock:
+                        self._socks.discard(sock)
                     try:
                         sock.close()
                     except OSError:

@@ -1,19 +1,14 @@
 """Surface syntax for the Vault language: lexer, AST, parser, printer."""
 
 from . import ast
-from .intern import AST_POOL, AstPool
 from .lexer import Lexer, tokenize
 from .parser import Parser, parse_expr, parse_program, parse_type
 from .pretty import pretty
-from .relex import RelexResult, relex
 from .tokens import T, Token
 
 __all__ = [
-    "AST_POOL",
-    "AstPool",
     "Lexer",
     "Parser",
-    "RelexResult",
     "T",
     "Token",
     "ast",
@@ -21,6 +16,5 @@ __all__ = [
     "parse_program",
     "parse_type",
     "pretty",
-    "relex",
     "tokenize",
 ]

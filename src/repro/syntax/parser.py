@@ -29,7 +29,6 @@ from typing import List, Optional, Tuple
 from ..diagnostics import ParseError, Span
 from ..obs.trace import current_tracer
 from . import ast
-from .intern import AST_POOL
 from .lexer import tokenize
 from .tokens import BASE_TYPE_TOKENS, T, Token
 
@@ -374,7 +373,8 @@ class Parser:
             bound = self._expect(T.IDENT).text
             self._expect(T.RPAREN)
             return ast.StateBound(self._span_from(start), var, bound)
-        return AST_POOL.state_ref(self._expect(T.IDENT, "state name"))
+        tok = self._expect(T.IDENT, "state name")
+        return ast.StateRef(tok.span, tok.text)
 
     # -- types ---------------------------------------------------------------------
 
@@ -440,13 +440,13 @@ class Parser:
         tok = self._peek()
         if tok.kind in BASE_TYPE_TOKENS:
             self._advance()
-            return AST_POOL.base_type(tok)
+            return ast.BaseType(tok.span, tok.text)
         if tok.kind is T.IDENT:
             self._advance()
             if self._at(T.LT):
                 return ast.NamedType(tok.span, tok.text,
                                      self.parse_type_args())
-            return AST_POOL.named_type(tok)
+            return ast.NamedType(tok.span, tok.text, [])
         raise ParseError(f"expected a type, found {tok.kind.value} {tok.text!r}",
                          tok.span)
 
@@ -717,10 +717,10 @@ class Parser:
         kind = tok.kind
         if kind is T.IDENT:
             self.pos += 1
-            expr = AST_POOL.name(tok)
+            expr = ast.Name(tok.span, tok.text)
         elif kind is T.INT:
             self.pos += 1
-            expr = AST_POOL.int_lit(tok)
+            expr = ast.IntLit(tok.span, int(tok.text, 0))
         else:
             expr = self.parse_primary()
         while True:
@@ -759,28 +759,28 @@ class Parser:
         tok = self._peek()
         if tok.kind is T.INT:
             self._advance()
-            return AST_POOL.int_lit(tok)
+            return ast.IntLit(tok.span, int(tok.text, 0))
         if tok.kind is T.FLOAT:
             self._advance()
-            return AST_POOL.float_lit(tok)
+            return ast.FloatLit(tok.span, float(tok.text))
         if tok.kind is T.STRING:
             self._advance()
-            return AST_POOL.string_lit(tok)
+            return ast.StringLit(tok.span, tok.text)
         if tok.kind is T.CHAR:
             self._advance()
-            return AST_POOL.char_lit(tok)
+            return ast.CharLit(tok.span, tok.text)
         if tok.kind is T.KW_TRUE:
             self._advance()
-            return AST_POOL.bool_lit(tok, True)
+            return ast.BoolLit(tok.span, True)
         if tok.kind is T.KW_FALSE:
             self._advance()
-            return AST_POOL.bool_lit(tok, False)
+            return ast.BoolLit(tok.span, False)
         if tok.kind is T.KW_NULL:
             self._advance()
-            return AST_POOL.null_lit(tok)
+            return ast.NullLit(tok.span)
         if tok.kind is T.IDENT:
             self._advance()
-            return AST_POOL.name(tok)
+            return ast.Name(tok.span, tok.text)
         if tok.kind is T.CTOR:
             return self.parse_ctor_app()
         if tok.kind is T.KW_NEW:
@@ -855,9 +855,10 @@ def parse_program(source: str, filename: str = "<input>",
     ``first_line``/``first_col`` place the text inside a larger unit,
     so that spans match a whole-unit parse; the incremental pipeline
     uses this to parse single declaration chunks in place.  ``tokens``
-    supplies a pre-lexed stream for ``source`` (from the session's
-    token cache or the incremental relexer) and skips lexing entirely;
-    it must equal ``tokenize(source, filename, first_line, first_col)``.
+    supplies a pre-lexed stream for ``source`` (the session lexes a
+    chunk once and reuses the stream for its interface digest) and
+    skips lexing entirely; it must equal
+    ``tokenize(source, filename, first_line, first_col)``.
     """
     tracer = current_tracer()
     if tracer.enabled:

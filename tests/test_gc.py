@@ -20,6 +20,7 @@ from repro import check_source
 from repro.diagnostics import VaultError
 from repro.obs.gcscope import CHECK_GEN0_THRESHOLD, check_gc_scope
 from repro.pipeline import CheckSession
+from repro.syntax import Token
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -130,6 +131,27 @@ class TestNoCyclicGarbage:
             assert "helper" in session.stats.last_checked
 
         assert cyclic_garbage(check) == 0
+
+
+def live_tokens() -> int:
+    gc.collect()
+    return sum(isinstance(obj, Token) for obj in gc.get_objects())
+
+
+class TestWarmSessionHeap:
+    def test_warm_session_keeps_no_tokens(self):
+        # The front end caches one (AST, interface digest) pair per
+        # chunk; a chunk's token stream must die with its parse.
+        source = (REPO / "examples/protocol_gallery.vlt").read_text(
+            encoding="utf-8")
+        check_source(source, "protocol_gallery.vlt")  # warm the stdlib
+        before = live_tokens()
+        session = CheckSession()
+        session.check(source, "protocol_gallery.vlt")
+        session.check(source.replace("\n\n", "\n\n\n", 1),
+                      "protocol_gallery.vlt")
+        assert session.stats.chunk_parses > 0
+        assert live_tokens() <= before
 
 
 @pytest.mark.usefixtures("restore_gc")

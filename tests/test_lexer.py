@@ -1,6 +1,8 @@
 """Lexer unit tests."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.diagnostics import LexError
 from repro.syntax import tokenize
@@ -167,3 +169,71 @@ class TestNextToken:
         assert lexer.next_token().kind is T.EOF
         with pytest.raises(LexError, match="past end of input"):
             lexer.next_token()
+
+
+# ---------------------------------------------------------------------------
+# Slice lexing: tokenize(whole)[k:] == tokenize(whole[off:], line, col).
+# The session lexes each declaration chunk on its own with this seeding,
+# so chunk tokens must carry whole-unit spans.
+# ---------------------------------------------------------------------------
+
+# Fragments biased toward span-math hazards: multi-line trivia, tick
+# tokens, strings with escapes, and operators the lexer resolves with
+# lookahead.
+_FRAGMENTS = st.sampled_from([
+    "fn", "region", "x1", "_tmp", "Name",
+    "'Open", "'Closed", "'C", "'x'", "'{'",
+    "0x1F", "42", "3.14", "1e9",
+    '"str"', '"a\\nb"', '"\\\\"',
+    "->", "&&", "||", "==", "!=", "<=", ">=", "++", "--", "+=", "-=",
+    "{", "}", "(", ")", "[", "]", ";", ",", ".", ":", "@", "|", "=",
+    "+", "-", "/", "!", "<", ">", "*", "%",
+    "// line comment",
+    "/* block */", "/* two\nlines */", "/*\n * three\n * lines */",
+])
+
+_SEPARATORS = st.sampled_from([" ", "  ", "\n", "\n\n", "\t", " \n "])
+
+
+@st.composite
+def _sources(draw):
+    frags = draw(st.lists(_FRAGMENTS, min_size=1, max_size=40))
+    return "".join(frag + draw(_SEPARATORS) for frag in frags)
+
+
+def _shape(tok):
+    """Everything but the offsets (slice lexing shifts those)."""
+    return (tok.kind, tok.text, tok.line, tok.col, tok.end_col)
+
+
+@given(_sources(), st.integers(0, 1000))
+@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow],
+          deadline=None)
+def test_slice_lex_matches_whole_lex(source, pick):
+    try:
+        whole = tokenize(source)
+    except LexError:
+        return
+    k = pick % len(whole)
+    tok = whole[k]
+    if tok.kind is T.EOF:
+        return
+    sliced = tokenize(source[tok.offset:], first_line=tok.line,
+                      first_col=tok.col)
+    assert [_shape(t) for t in sliced] == [_shape(t) for t in whole[k:]]
+    for s, w in zip(sliced, whole[k:]):
+        assert s.offset + tok.offset == w.offset
+        assert s.end_offset + tok.offset == w.end_offset
+
+
+def test_slice_lex_after_straddling_block_comment():
+    # The comment ends mid-line, so the next token starts at line 3,
+    # col > 1 — the seed a chunk handed to the lexer actually carries.
+    source = "first\n/* straddles\ntwo lines */ 'Ctor 'x' last"
+    whole = tokenize(source)
+    tick = next(t for t in whole if t.kind is T.CTOR)
+    assert (tick.line, tick.col) == (3, 14)
+    sliced = tokenize(source[tick.offset:], first_line=tick.line,
+                      first_col=tick.col)
+    assert [_shape(t) for t in sliced] == \
+        [_shape(t) for t in whole[whole.index(tick):]]

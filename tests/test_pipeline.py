@@ -427,7 +427,7 @@ class TestSessionReuse:
 
 
 # ---------------------------------------------------------------------------
-# Front-end caches: token streams, relex splicing, eviction tracing
+# Front-end cache: one (AST, interface digest) pair per chunk
 # ---------------------------------------------------------------------------
 
 
@@ -437,42 +437,34 @@ class TestFrontEndCaches:
         end = source.index(";", at)
         return source[:at] + "c.value += 4242" + source[end:]
 
-    def test_token_cache_serves_unchanged_chunks_on_edit(self):
+    def test_chunk_cache_serves_unchanged_chunks_on_edit(self):
         from repro.obs import Telemetry
         source = synthesize_program(12, seed=3)
         session = fresh_session(telemetry=Telemetry(metrics=True))
         session.check(source, "unit.vlt")
-        assert session.stats.token_hits == 0
-        hits0 = session.stats.token_hits
-        session.check(self._edit(source), "unit.vlt")
-        assert session.stats.token_hits > hits0, \
-            "unchanged chunks must be served from the token cache"
-        snapshot = session.telemetry.metrics.snapshot()
-        assert snapshot["cache.tokens.hits"]["value"] == \
-            session.stats.token_hits
-
-    def test_edit_takes_relex_splice_path(self):
-        source = synthesize_program(12, seed=3)
-        session = fresh_session()
-        session.check(source, "unit.vlt")
+        assert session.stats.chunk_hits == 0
+        parses0 = session.stats.chunk_parses
         edited = self._edit(source)
         report = session.check(edited, "unit.vlt")
-        assert session.stats.relex_splices >= 1
-        assert session.stats.relex_fallbacks == 0
+        assert session.stats.chunk_parses - parses0 == 1, \
+            "a one-chunk edit must re-parse exactly that chunk"
+        assert session.stats.chunk_hits == parses0 - 1
+        snapshot = session.telemetry.metrics.snapshot()
+        assert snapshot["cache.chunk_ast.hits"]["value"] == \
+            session.stats.chunk_hits
         assert report.render() == \
-            check_source(edited, "unit.vlt", units=UNITS).render(), \
-            "spliced-token output must match a from-scratch check"
+            check_source(edited, "unit.vlt", units=UNITS).render()
 
-    def test_token_cache_eviction_is_traced(self, monkeypatch):
+    def test_chunk_ast_eviction_is_traced(self, monkeypatch):
         from repro.obs import Telemetry
         from repro.pipeline import session as session_mod
-        monkeypatch.setattr(session_mod, "_MAX_TOKEN_STREAMS", 4)
+        monkeypatch.setattr(session_mod, "_MAX_CHUNK_ASTS", 4)
         session = fresh_session(telemetry=Telemetry(metrics=True))
         session.check(synthesize_program(12, seed=3), "unit.vlt")
         snapshot = session.telemetry.metrics.snapshot()
-        assert snapshot["cache.tokens.evictions"]["value"] > 0
+        assert snapshot["cache.chunk_ast.evictions"]["value"] > 0
         events = session.telemetry.events.by_kind("cache_evict")
-        assert any(e.fields["layer"] == "tokens" for e in events)
+        assert any(e.fields["layer"] == "chunk_ast" for e in events)
         evicted = sum(e.fields["evicted"] for e in events
-                      if e.fields["layer"] == "tokens")
-        assert evicted == snapshot["cache.tokens.evictions"]["value"]
+                      if e.fields["layer"] == "chunk_ast")
+        assert evicted == snapshot["cache.chunk_ast.evictions"]["value"]

@@ -1246,6 +1246,22 @@ class TestChaosProxy:
         assert outcome is not None and outcome.render == expected
         assert proxy.faults_acted["stall"] == 1
 
+    def test_close_is_prompt_with_open_relay(self, stack):
+        handle, proxy = stack
+        with socket_mod.socket(socket_mod.AF_UNIX,
+                               socket_mod.SOCK_STREAM) as conn:
+            conn.settimeout(10)
+            conn.connect(proxy.listen_path)
+            send_frame(conn, {"op": "check", "source": OK_SOURCE,
+                              "filename": "c.vlt"})
+            assert recv_frame(conn)["ok"] is True
+            # The relay thread now holds an upstream connection and
+            # sits blocked reading this client's next frame.
+            started = time.monotonic()
+            proxy.close()
+            assert time.monotonic() - started < 0.2
+            assert conn.recv(1) == b""
+
 
 @needs_unix
 @pytest.mark.slow
