@@ -160,7 +160,7 @@ def _measure():
 
     phases = _phase_timings(source)
 
-    session = CheckSession(units=UNITS, telemetry=Telemetry(metrics=True))
+    session = CheckSession(units=UNITS, telemetry=Telemetry())
     start = time.perf_counter()
     cold_report = session.check(source)
     cold = time.perf_counter() - start
@@ -185,7 +185,7 @@ def _measure():
     # definition.
     large_source = synthesize_program(N_FUNCTIONS_LARGE, seed=42)
     large_session = CheckSession(units=UNITS,
-                                 telemetry=Telemetry(metrics=True))
+                                 telemetry=Telemetry())
     edited_large = _edit(large_source)
     # A gen-2 collection walking the session's caches (millions of
     # AST nodes by this point in the run) costs ~100 ms if

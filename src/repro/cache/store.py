@@ -232,8 +232,9 @@ class MemoryTier(Tier):
 
 
 class _TierCounts:
-    """Store-side traffic counters for one tier (always on — plain
-    ints; the telemetry registry mirrors them when enabled)."""
+    """Store-side traffic counters for one tier: per store, where the
+    ``cache.shared.<tier>.*`` metrics add up every store that shares
+    one registry (the daemon's stores all share its memory tier)."""
 
     __slots__ = ("hits", "misses", "puts", "errors", "corrupt")
 
@@ -271,12 +272,11 @@ class SharedStore:
         self.counts: Dict[str, _TierCounts] = {
             tier.name: _TierCounts() for tier in self.tiers}
         self._reported_errors: Dict[str, int] = {}
-        if self.telemetry.metrics.enabled:
-            for tier in self.tiers:
-                for leaf in ("hits", "misses", "puts", "evictions",
-                             "errors", "corrupt"):
-                    self.telemetry.metrics.counter(
-                        f"cache.shared.{tier.name}.{leaf}")
+        for tier in self.tiers:
+            for leaf in ("hits", "misses", "puts", "evictions",
+                         "errors", "corrupt"):
+                self.telemetry.metrics.counter(
+                    f"cache.shared.{tier.name}.{leaf}")
 
     # -- raw blob plane (what the daemon's wire ops use) ---------------------
 
@@ -307,11 +307,9 @@ class SharedStore:
                 good[key] = blob
             counts.hits += len(good)
             counts.misses += len(missing) - len(good)
-            if metrics.enabled:
-                metrics.counter(f"cache.shared.{tier.name}.hits").inc(
-                    len(good))
-                metrics.counter(f"cache.shared.{tier.name}.misses").inc(
-                    len(missing) - len(good))
+            metrics.counter(f"cache.shared.{tier.name}.hits").inc(len(good))
+            metrics.counter(f"cache.shared.{tier.name}.misses").inc(
+                len(missing) - len(good))
             if good:
                 found.update(good)
                 missing = [k for k in missing if k not in good]
@@ -346,9 +344,8 @@ class SharedStore:
                 continue
             self._observe_latency(tier, time.perf_counter() - started)
             self.counts[tier.name].puts += len(accepted)
-            if metrics.enabled:
-                metrics.counter(f"cache.shared.{tier.name}.puts").inc(
-                    len(accepted))
+            metrics.counter(f"cache.shared.{tier.name}.puts").inc(
+                len(accepted))
         return len(accepted)
 
     # -- object plane (what sessions use) ------------------------------------
@@ -403,16 +400,14 @@ class SharedStore:
     # -- internals -----------------------------------------------------------
 
     def _observe_latency(self, tier: Tier, seconds: float) -> None:
-        if self.telemetry.metrics.enabled:
-            self.telemetry.metrics.histogram(
-                f"cache.shared.{tier.name}.latency").observe(seconds)
+        self.telemetry.metrics.histogram(
+            f"cache.shared.{tier.name}.latency").observe(seconds)
 
     def _tier_error(self, tier: Tier, op: str, exc: BaseException) -> None:
         counts = self.counts[tier.name]
         counts.errors += 1
-        if self.telemetry.metrics.enabled:
-            self.telemetry.metrics.counter(
-                f"cache.shared.{tier.name}.errors").inc()
+        self.telemetry.metrics.counter(
+            f"cache.shared.{tier.name}.errors").inc()
         # Report the first few failures per tier, then go quiet — a
         # dead remote tier must not flood the event log per check.
         reported = self._reported_errors.get(tier.name, 0)
@@ -428,9 +423,8 @@ class SharedStore:
     def _corrupt(self, tier: Tier, key: str, exc: BaseException,
                  quiet: bool = False) -> None:
         self.counts[tier.name].corrupt += 1
-        if self.telemetry.metrics.enabled:
-            self.telemetry.metrics.counter(
-                f"cache.shared.{tier.name}.corrupt").inc()
+        self.telemetry.metrics.counter(
+            f"cache.shared.{tier.name}.corrupt").inc()
         try:
             tier.discard(key)
         except Exception:                            # noqa: BLE001

@@ -103,10 +103,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         from .pipeline import CheckSession
         from .pipeline.scheduler import (BREAK_EVEN_SECONDS,
                                          DEFAULT_BATCH_TIMEOUT)
-        # --profile turns metrics on too: the quantile lines in the
-        # profile read off the check.function_seconds histogram.
-        telemetry = Telemetry(trace=bool(args.trace),
-                              metrics=bool(args.metrics) or args.profile)
+        # The session's registry always counts; --metrics only picks
+        # where its snapshot goes, and --profile reads it too.
+        telemetry = Telemetry(trace=bool(args.trace))
         break_even = BREAK_EVEN_SECONDS if args.break_even is None \
             else args.break_even / 1000.0
         batch_timeout = DEFAULT_BATCH_TIMEOUT \
@@ -179,18 +178,17 @@ def _print_profile(session, file) -> int:
           file=file)
     print(f"  {'functions replayed':<22} {stats.functions_replayed:8d}",
           file=file)
-    metrics = session.telemetry.metrics
-    if metrics.enabled:
-        snapshot = metrics.snapshot().get("check.function_seconds")
-        if snapshot and snapshot.get("count"):
-            from .obs import bucket_quantile
-            bounds = snapshot["bounds"]
-            counts = snapshot["bucket_counts"]
-            quants = " / ".join(
-                f"p{int(q * 100)} "
-                f"{bucket_quantile(bounds, counts, q) * 1000:.1f} ms"
-                for q in (0.5, 0.95, 0.99))
-            print(f"  {'function latency':<22} {quants}", file=file)
+    snapshot = session.telemetry.metrics.snapshot().get(
+        "check.function_seconds")
+    if snapshot and snapshot["count"]:
+        from .obs import bucket_quantile
+        bounds = snapshot["bounds"]
+        counts = snapshot["bucket_counts"]
+        quants = " / ".join(
+            f"p{int(q * 100)} "
+            f"{bucket_quantile(bounds, counts, q) * 1000:.1f} ms"
+            for q in (0.5, 0.95, 0.99))
+        print(f"  {'function latency':<22} {quants}", file=file)
     if stats.fingerprints_memoized:
         print(f"  {'fingerprints memoized':<22} "
               f"{stats.fingerprints_memoized:8d}", file=file)
@@ -205,7 +203,7 @@ def _print_profile(session, file) -> int:
     if stats.pool_spawns:
         print(f"  {'worker pools forked':<22} {stats.pool_spawns:8d}",
               file=file)
-    recovered = [(label, getattr(stats, name, 0)) for label, name in
+    recovered = [(label, getattr(stats, name)) for label, name in
                  (("worker respawns", "respawns"),
                   ("batch retries", "retries"),
                   ("batch bisections", "bisections"),
@@ -292,26 +290,23 @@ def cmd_stats(args: argparse.Namespace) -> int:
             ["function", "blocks", "edges", "loops", "unreachable"],
             cfg_rows))
 
-    # A metrics-instrumented check of the same file: the session's
-    # telemetry snapshot (cache traffic, scheduler verdict, worker
-    # resilience counters, diagnostic code counts) as one more stats
-    # table.  ``--jobs`` > 1 exercises the supervised pool, whose
-    # ``resilience.*`` counters then show up (zero on healthy runs);
-    # $VAULTC_FAULTS is honoured so chaos runs are inspectable here.
-    from .obs import Telemetry
+    # A check of the same file: the session's metrics snapshot
+    # (cache traffic, scheduler verdict, worker resilience counters,
+    # diagnostic code counts) as one more stats table.  ``--jobs`` > 1
+    # exercises the supervised pool, whose ``resilience.*`` counters
+    # then show up (zero on healthy runs); $VAULTC_FAULTS is honoured
+    # so chaos runs are inspectable here.
     from .pipeline import CheckSession
     from .pipeline.scheduler import BREAK_EVEN_SECONDS
-    telemetry = Telemetry(metrics=True)
     # Asking for workers on a stats run means "show me the pool": zero
     # break-even forces it even though one file is a tiny workload.
     break_even = 0.0 if args.jobs != 1 else BREAK_EVEN_SECONDS
-    with CheckSession(telemetry=telemetry, jobs=args.jobs,
-                      break_even_seconds=break_even,
+    with CheckSession(jobs=args.jobs, break_even_seconds=break_even,
                       fault_plan=_fault_plan(
                           os.environ.get("VAULTC_FAULTS"))) as session:
         session.check(source, filename=args.file)
-    metric_rows = [[name, value]
-                   for name, value in telemetry.metrics.render_rows()]
+    metric_rows = [[name, value] for name, value
+                   in session.telemetry.metrics.render_rows()]
     if metric_rows:
         print()
         print("checker metrics (one cold check):")
@@ -443,7 +438,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from .server import serve
     if args.supervise:
         from .server import Supervisor
-        telemetry = Telemetry(metrics=True)
+        telemetry = Telemetry()
         writer = open_event_log(args.event_log and args.event_log
                                 + ".supervisor", telemetry.events)
         try:
@@ -452,7 +447,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         finally:
             if writer is not None:
                 writer.close()
-    telemetry = Telemetry(metrics=True)
+    telemetry = Telemetry()
     # Subscribe the audit sink before serve() so server_start itself
     # lands in the log.
     writer = open_event_log(args.event_log, telemetry.events)
@@ -557,18 +552,19 @@ def build_parser() -> argparse.ArgumentParser:
                         "cold check of identical code replays at "
                         "warm speed")
     p.add_argument("--profile", action="store_true",
-                   help="print phase timings and the scheduler's "
-                        "verdict to stderr")
+                   help="print phase timings, the scheduler's "
+                        "verdict and the session's counters to stderr")
     p.add_argument("--trace", default=None, metavar="FILE",
                    help="record a span trace of the check and write "
                         "Chrome trace-event JSON to FILE (load it in "
                         "chrome://tracing or ui.perfetto.dev; pool "
                         "workers appear as separate tracks)")
     p.add_argument("--metrics", default=None, metavar="FILE|-",
-                   help="record pipeline metrics (cache hit rates, "
-                        "scheduler verdicts, diagnostic-code counts); "
-                        "'-' prints a table to stderr, anything else "
-                        "is a path that receives JSON")
+                   help="write the session's metrics (cache hit "
+                        "rates, scheduler verdicts, diagnostic-code "
+                        "counts; always counted): '-' prints a table "
+                        "to stderr, anything else is a path that "
+                        "receives JSON")
     p.add_argument("--break-even", type=float, default=None, metavar="MS",
                    help="override the scheduler's break-even threshold "
                         "in milliseconds (0 forces the worker pool; "

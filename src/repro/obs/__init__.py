@@ -26,11 +26,12 @@ check (a raised gen-0 threshold, restored afterwards) and the
 ``gc.callbacks`` hook behind the per-check GC numbers in
 ``telemetry.profile["gc"]``.
 
-``Telemetry()`` with no arguments is the **disabled** configuration:
-the tracer and metrics are shared null singletons whose operations are
-no-ops, so instrumented code costs an attribute check per callsite and
-records nothing.  The event log is always live — it only sees rare
-events (crashes, leaks), never per-statement traffic.
+``Telemetry()`` with no arguments counts but does not trace: the
+metrics registry is always live (it is the only store of a session's
+counters), while the tracer is the shared null singleton until
+``trace=True`` — spans cost real time, counters do not.  The event log
+is always live too — it only sees rare events (crashes, leaks), never
+per-statement traffic.
 
 See ``docs/OBSERVABILITY.md`` for the end-to-end workflow.
 """
@@ -42,8 +43,7 @@ from typing import Dict, Optional
 from .events import Event, EventLog, JsonlEventWriter, open_event_log
 from .expo import render_exposition, validate_exposition, write_textfile
 from .metrics import (LATENCY_BUCKETS, RATIO_BUCKETS, Counter, Gauge,
-                      Histogram, MetricsRegistry, NULL_METRICS, NullMetrics,
-                      bucket_quantile)
+                      Histogram, MetricsRegistry, bucket_quantile)
 from .timeseries import TimeSeriesRing
 from .trace import (NULL_TRACER, NullTracer, TraceRing, Tracer, activate,
                     current_tracer, validate_chrome_trace)
@@ -52,31 +52,26 @@ from .trace import (NULL_TRACER, NullTracer, TraceRing, Tracer, activate,
 class Telemetry:
     """One session's observability bundle.
 
-    ``trace=True`` records spans; ``metrics=True`` records counters
-    and histograms; both default off (the null singletons).  The
-    session also parks its compatibility surfaces here: ``profile``
-    is the dict behind ``CheckSession.last_profile`` and ``stats`` the
-    :class:`~repro.pipeline.session.SessionStats` behind
+    ``metrics`` is the session's own :class:`MetricsRegistry`, always
+    recording; ``trace=True`` (or a caller's ``tracer``) records spans,
+    otherwise the tracer is the null singleton.  The session also
+    parks its compatibility surfaces here: ``profile`` is the dict
+    behind ``CheckSession.last_profile`` and ``stats`` the
+    :class:`~repro.pipeline.session.SessionStats` view behind
     ``CheckSession.stats``.
     """
 
-    def __init__(self, trace: bool = False, metrics: bool = False,
+    def __init__(self, trace: bool = False,
                  tracer: Optional[Tracer] = None,
-                 registry: Optional[MetricsRegistry] = None,
                  events: Optional[EventLog] = None):
         self.tracer = tracer if tracer is not None else (
             Tracer() if trace else NULL_TRACER)
-        self.metrics = registry if registry is not None else (
-            MetricsRegistry() if metrics else NULL_METRICS)
+        self.metrics = MetricsRegistry()
         self.events = events if events is not None else EventLog()
         #: phase timings / scheduler verdict of the most recent check.
         self.profile: Dict[str, object] = {}
         #: the owning session's SessionStats (set by CheckSession).
         self.stats = None
-
-    @property
-    def enabled(self) -> bool:
-        return self.tracer.enabled or self.metrics.enabled
 
     def snapshot(self) -> Dict[str, object]:
         """Everything queryable about the session, as plain data."""
@@ -88,9 +83,7 @@ class Telemetry:
                        for e in self.events.records],
         }
         if self.stats is not None:
-            out["stats"] = {
-                name: value for name, value in vars(self.stats).items()
-                if isinstance(value, (int, float))}
+            out["stats"] = self.stats.snapshot()
         return out
 
 
@@ -103,9 +96,7 @@ __all__ = [
     "JsonlEventWriter",
     "LATENCY_BUCKETS",
     "MetricsRegistry",
-    "NULL_METRICS",
     "NULL_TRACER",
-    "NullMetrics",
     "NullTracer",
     "RATIO_BUCKETS",
     "Telemetry",

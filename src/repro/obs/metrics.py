@@ -11,10 +11,10 @@ The registry is deliberately small:
 * histograms have **fixed bucket boundaries** chosen at creation, so
   two registries with the same metric merge exactly (bucket counts
   add) — which is how pool workers ship their deltas to the parent;
-* a disabled registry is the shared :data:`NULL_METRICS` singleton:
-  every operation is a no-op on a shared null metric and
-  ``snapshot()`` is empty, so disabled instrumentation adds no keys
-  and costs an attribute lookup per guarded callsite.
+* the registry is **always on**: a counter bump is a dict lookup and
+  an add, cheap enough that a :class:`~repro.pipeline.CheckSession`
+  keeps every one of its counters here and nowhere else
+  (``SessionStats`` is a read-only view over them).
 """
 
 from __future__ import annotations
@@ -109,8 +109,6 @@ class Histogram:
 class MetricsRegistry:
     """Named metrics, created on first use; see the module docstring."""
 
-    enabled = True
-
     def __init__(self) -> None:
         self._metrics: Dict[str, object] = {}
 
@@ -133,6 +131,12 @@ class MetricsRegistry:
     def histogram(self, name: str,
                   bounds: Sequence[float] = LATENCY_BUCKETS) -> Histogram:
         return self._get(name, Histogram, bounds)
+
+    def value(self, name: str) -> Union[int, float]:
+        """A counter's (or gauge's) current value, 0 if it was never
+        touched; reading does not register the metric."""
+        metric = self._metrics.get(name)
+        return metric.value if metric is not None else 0
 
     # -- export / merge ------------------------------------------------------
 
@@ -210,56 +214,3 @@ class MetricsRegistry:
         return "\n".join(f"{name:<{width}}  {value}"
                          for name, value in rows)
 
-
-class _NullMetric:
-    __slots__ = ()
-    value = 0
-
-    def inc(self, amount: Union[int, float] = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def quantile(self, q: float) -> float:
-        return 0.0
-
-
-_NULL_METRIC = _NullMetric()
-
-
-class NullMetrics:
-    """The disabled registry: no-op metrics, empty snapshots."""
-
-    enabled = False
-
-    def counter(self, name: str) -> _NullMetric:
-        return _NULL_METRIC
-
-    def gauge(self, name: str) -> _NullMetric:
-        return _NULL_METRIC
-
-    def histogram(self, name: str,
-                  bounds: Sequence[float] = LATENCY_BUCKETS) -> _NullMetric:
-        return _NULL_METRIC
-
-    def snapshot(self) -> Dict[str, dict]:
-        return {}
-
-    def drain(self) -> Dict[str, dict]:
-        return {}
-
-    def merge(self, snapshot: Optional[Dict[str, dict]]) -> None:
-        pass
-
-    def render_rows(self) -> List[Tuple[str, str]]:
-        return []
-
-    def render(self) -> str:
-        return "(metrics disabled)"
-
-
-NULL_METRICS = NullMetrics()

@@ -4,7 +4,7 @@ The check daemon's :class:`~repro.obs.metrics.MetricsRegistry` is
 cumulative: counters only grow, histograms only accumulate.  For a
 long-lived service that is the wrong shape to answer "what is the
 request rate *now*" or "what was p95 latency over the last minute" —
-so the daemon's selector loop feeds the registry through a
+so the daemon's selector loop feeds its registries through a
 :class:`TimeSeriesRing` once per ``interval`` seconds, and each tick
 derives the *windowed* view:
 
@@ -46,11 +46,13 @@ DEFAULT_CAPACITY = 120
 class TimeSeriesRing:
     """Bounded history of rate/quantile samples over one registry.
 
-    ``maybe_sample(registry)`` is the selector-loop entry point: it is
-    a cheap no-op until ``interval`` has elapsed since the last sample,
-    then takes one.  ``sample(registry)`` forces a sample regardless
-    (tests and shutdown flushes).  ``describe()`` is the plain-data
-    view the ``telemetry`` wire op returns.
+    ``due()`` is the selector-loop check: it is cheap, and false until
+    ``interval`` has elapsed since the last sample, so the daemon only
+    builds the merged registry it samples when a sample is owed.
+    ``maybe_sample(registry)`` combines the two; ``sample(registry)``
+    forces a sample regardless (tests and shutdown flushes).
+    ``describe()`` is the plain-data view the ``telemetry`` wire op
+    returns.
     """
 
     def __init__(self, interval: float = DEFAULT_INTERVAL,
@@ -71,15 +73,20 @@ class TimeSeriesRing:
         self._prev_time = 0.0
         self._pid = os.getpid()
 
+    def due(self, now: Optional[float] = None) -> bool:
+        """Whether the interval has elapsed (always, before the first
+        sample)."""
+        if now is None:
+            now = time.monotonic()
+        return self._prev is None or now - self._prev_time >= self.interval
+
     def maybe_sample(self, registry,
                      now: Optional[float] = None) -> Optional[dict]:
         """Sample iff the interval has elapsed; the sampled dict, or
         ``None`` when it is not yet time."""
         if now is None:
             now = time.monotonic()
-        if self._prev is not None and now - self._prev_time < self.interval:
-            return None
-        return self.sample(registry, now)
+        return self.sample(registry, now) if self.due(now) else None
 
     def sample(self, registry, now: Optional[float] = None) -> dict:
         """Take one sample now (establishes the baseline on first call,

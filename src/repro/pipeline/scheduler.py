@@ -218,18 +218,19 @@ def plan(items: Sequence[Tuple[str, ast.FunDef]],
     each item to the least-loaded worker.  LPT is within 4/3 of the
     optimal makespan, which is far tighter than the naive contiguous
     split when costs are skewed (one pathological function no longer
-    drags a whole contiguous slice with it).
+    drags a whole contiguous slice with it).  A single worker (or a
+    single item) needs no costs at all: that plan returns before the
+    cost model runs, with ``total_cost`` left at 0.
     """
+    jobs = min(jobs, len(items))
+    if jobs < 2:
+        return Plan(parallel=False, reason="single worker")
     costs: List[float] = []
     for qual, fundef in items:
         recorded = recorded_costs.get(qual) if recorded_costs else None
         costs.append(recorded if recorded is not None
                      else estimate_cost(fundef))
     total = sum(costs)
-    jobs = min(jobs, len(items))
-    if jobs < 2 or len(items) < 2:
-        return Plan(parallel=False, total_cost=total,
-                    reason="single worker")
     if total < break_even_seconds:
         return Plan(parallel=False, total_cost=total,
                     reason=f"est. {total * 1000:.1f}ms under "

@@ -57,7 +57,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..core import build_context, check_function_diagnostics
 from ..core.checker import MAX_LOOP_ITERATIONS
 from ..diagnostics import Diagnostic, Reporter, VaultError
-from ..obs import Telemetry
+from ..obs import MetricsRegistry, Telemetry
 from ..obs.gcscope import check_gc_scope
 from ..obs.trace import activate as activate_tracer
 from ..stdlib import stdlib_context, stdlib_source
@@ -109,46 +109,55 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-class SessionStats:
-    """Counters exposed for tests and benchmarks.
+#: each ``SessionStats`` field and the registry counter it reads.
+STAT_COUNTERS: Dict[str, str] = {
+    "checks": "session.checks",
+    "context_hits": "cache.context.hits",
+    "context_misses": "cache.context.misses",
+    "chunk_parses": "cache.chunk_ast.misses",
+    "chunk_hits": "cache.chunk_ast.hits",
+    "whole_parses": "session.whole_parses",
+    "functions_checked": "session.functions_checked",
+    "functions_replayed": "session.functions_replayed",
+    "parallel_runs": "session.parallel_runs",
+    "serial_fallbacks": "workers.serial_fallbacks",
+    "pool_spawns": "workers.pool_spawns",
+    "fingerprints_memoized": "cache.fingerprint_memo.hits",
+    "respawns": "resilience.respawns",
+    "retries": "resilience.retries",
+    "bisections": "resilience.bisections",
+    "timeouts": "resilience.timeouts",
+    "poisoned": "resilience.poisoned",
+    "cache_quarantines": "resilience.cache_quarantines",
+    "fallback_reused": "workers.fallback_reused",
+    "shared_unit_hits": "cache.shared.unit.hits",
+    "shared_unit_misses": "cache.shared.unit.misses",
+    "shared_summary_hits": "cache.shared.summary.hits",
+    "shared_summary_misses": "cache.shared.summary.misses",
+    "shared_puts": "session.shared_puts",
+}
 
-    ``last_checked``/``last_replayed`` list the qualified names that
-    were flow-analysed vs. served from the summary cache by the most
-    recent ``check`` call.
+
+class SessionStats:
+    """A read-only view of one session's counters, for tests and
+    benchmarks.
+
+    Every counter lives in the session's metrics registry; each field
+    named in :data:`STAT_COUNTERS` reads one of them (and keeps reading
+    it after ``close()``).  ``last_checked``/``last_replayed`` are not
+    counters: they list the qualified names that were flow-analysed
+    vs. served from the summary cache by the most recent ``check``
+    call.
     """
 
-    def __init__(self) -> None:
-        self.checks = 0
-        self.context_hits = 0
-        self.context_misses = 0
-        self.chunk_parses = 0
-        self.chunk_hits = 0
-        self.whole_parses = 0
-        self.functions_checked = 0
-        self.functions_replayed = 0
-        self.parallel_runs = 0
-        self.serial_fallbacks = 0
-        self.pool_spawns = 0
-        self.fingerprints_memoized = 0
-        # resilience counters (mirrored by the ``resilience.*``
-        # metrics when the registry is enabled)
-        self.respawns = 0
-        self.retries = 0
-        self.bisections = 0
-        self.timeouts = 0
-        self.poisoned = 0
-        self.cache_quarantines = 0
-        self.fallback_reused = 0
-        # shared-store counters (mirrored by the ``cache.shared.unit.*``
-        # / ``cache.shared.summary.*`` metrics when the registry is
-        # enabled; per-tier traffic lives on the store itself)
-        self.shared_unit_hits = 0
-        self.shared_unit_misses = 0
-        self.shared_summary_hits = 0
-        self.shared_summary_misses = 0
-        self.shared_puts = 0
+    def __init__(self, metrics: MetricsRegistry) -> None:
+        self._metrics = metrics
         self.last_checked: List[str] = []
         self.last_replayed: List[str] = []
+
+    def snapshot(self) -> Dict[str, Union[int, float]]:
+        return {field: self._metrics.value(name)
+                for field, name in STAT_COUNTERS.items()}
 
     def __repr__(self) -> str:
         return (f"SessionStats(checks={self.checks}, "
@@ -156,6 +165,13 @@ class SessionStats:
                 f"chunks={self.chunk_hits}h/{self.chunk_parses}m, "
                 f"functions={self.functions_replayed} replayed/"
                 f"{self.functions_checked} checked)")
+
+
+for _field, _name in STAT_COUNTERS.items():
+    setattr(SessionStats, _field, property(
+        lambda self, _name=_name: self._metrics.value(_name),
+        doc=f"The ``{_name}`` counter."))
+del _field, _name
 
 
 class _Summary:
@@ -258,11 +274,11 @@ class CheckSession:
             self._shared_salt = options_salt(
                 self.stdlib, self.units, join_abstraction,
                 max_loop_iterations)
-        self.stats = SessionStats()
-        #: the session's observability bundle; ``Telemetry()`` (the
-        #: default) records nothing beyond rare events — pass
-        #: ``Telemetry(trace=True, metrics=True)`` to instrument.
+        #: the session's observability bundle: its registry holds every
+        #: counter the session keeps; ``Telemetry(trace=True)`` adds
+        #: spans.
         self.telemetry = telemetry if telemetry is not None else Telemetry()
+        self.stats = SessionStats(self.telemetry.metrics)
         self.telemetry.stats = self.stats
         #: the front end's only incremental state: per chunk, keyed by
         #: (content hash, start line, start column), the parsed AST and
@@ -282,9 +298,7 @@ class CheckSession:
         if cache_dir:
             # Pre-register so a healthy run reports an explicit zero
             # (its pool-side siblings are registered at pool creation).
-            if self.telemetry.metrics.enabled:
-                self.telemetry.metrics.counter(
-                    "resilience.cache_quarantines")
+            self.telemetry.metrics.counter("resilience.cache_quarantines")
             self._load_cache()
 
     @staticmethod
@@ -307,7 +321,7 @@ class CheckSession:
         """Parse, elaborate and protocol-check one compilation unit."""
         self.stats.last_checked = []
         self.stats.last_replayed = []
-        self.stats.checks += 1
+        self.telemetry.metrics.counter("session.checks").inc()
         self.telemetry.profile = {}
         profile = self.telemetry.profile
         started = time.perf_counter()
@@ -355,25 +369,21 @@ class CheckSession:
                 if record is not None:
                     reporter.diagnostics.extend(record["diags"])
                     self._mark_unit_seen(ukey)
-                    self.stats.shared_unit_hits += 1
-                    self.stats.functions_replayed += record["functions"]
-                    if metrics.enabled:
-                        metrics.counter("cache.shared.unit.hits").inc()
+                    metrics.counter("cache.shared.unit.hits").inc()
+                    metrics.counter("session.functions_replayed").inc(
+                        record["functions"])
                     profile["plan"] = "replayed whole unit (shared store)"
                     return self._finish(reporter)
-                self.stats.shared_unit_misses += 1
-                if metrics.enabled:
-                    metrics.counter("cache.shared.unit.misses").inc()
+                metrics.counter("cache.shared.unit.misses").inc()
         base = None
         if self.stdlib:
             with tracer.span("stdlib_base"):
                 builds_before = base_context_cache_info().misses
                 base, base_diags = stdlib_context(self.units)
-            if metrics.enabled:
-                if base_context_cache_info().misses == builds_before:
-                    metrics.counter("cache.stdlib_base.hits").inc()
-                else:
-                    metrics.counter("cache.stdlib_base.misses").inc()
+            if base_context_cache_info().misses == builds_before:
+                metrics.counter("cache.stdlib_base.hits").inc()
+            else:
+                metrics.counter("cache.stdlib_base.misses").inc()
             reporter.diagnostics.extend(base_diags)
         entry = self._context_for(source, filename, base)
         profile["context_seconds"] = time.perf_counter() - started
@@ -385,10 +395,10 @@ class CheckSession:
             for qual, diags in entry.fn_results:
                 reporter.diagnostics.extend(diags)
             self.stats.last_replayed = [q for q, _ in entry.fn_results]
-            self.stats.functions_replayed += len(entry.fn_results)
-            if metrics.enabled:
-                metrics.counter("cache.unit_replay.hits").inc(
-                    len(entry.fn_results))
+            metrics.counter("session.functions_replayed").inc(
+                len(entry.fn_results))
+            metrics.counter("cache.unit_replay.hits").inc(
+                len(entry.fn_results))
             profile["plan"] = "replayed whole unit"
             self._shared_store_unit(store_unit_key, reporter,
                                     len(entry.fn_results))
@@ -411,10 +421,8 @@ class CheckSession:
 
     def _finish(self, reporter: Reporter) -> Reporter:
         metrics = self.telemetry.metrics
-        if metrics.enabled:
-            for diag in reporter.diagnostics:
-                metrics.counter(
-                    f"diagnostics.{diag.code.value}").inc()
+        for diag in reporter.diagnostics:
+            metrics.counter(f"diagnostics.{diag.code.value}").inc()
         return reporter
 
     def render_check(self, source: str, filename: str = "<input>",
@@ -470,13 +478,9 @@ class CheckSession:
             key = (filename, self.units, self.stdlib, _sha(source))
         entry = self._ctx_cache.get(key)
         if entry is not None:
-            self.stats.context_hits += 1
-            if metrics.enabled:
-                metrics.counter("cache.context.hits").inc()
+            metrics.counter("cache.context.hits").inc()
             return entry
-        self.stats.context_misses += 1
-        if metrics.enabled:
-            metrics.counter("cache.context.misses").inc()
+        metrics.counter("cache.context.misses").inc()
         programs, env_token = self._parse(source, filename, chunks,
                                           chunk_keys)
         sub = Reporter()
@@ -495,11 +499,12 @@ class CheckSession:
         metrics = self.telemetry.metrics
         tracer = self.telemetry.tracer
         if not chunks:
-            self.stats.whole_parses += 1
+            metrics.counter("session.whole_parses").inc()
             return [parse_program(source, filename)], \
                 self._unit_env_token(source, filename)
         programs: List[ast.Program] = []
         iface_parts: List[str] = []
+        parsed = 0
         try:
             for chunk, ckey in zip(chunks, chunk_keys):
                 cached = self._ast_cache.get(ckey)
@@ -514,29 +519,33 @@ class CheckSession:
                                          first_col=chunk.start_col,
                                          tokens=tokens)
                     cached = (prog, self._interface_part(ckey, tokens))
-                    self.stats.chunk_parses += 1
-                    if metrics.enabled:
-                        metrics.counter("cache.chunk_ast.misses").inc()
+                    parsed += 1
                     if len(self._ast_cache) >= _MAX_CHUNK_ASTS:
                         self._evict_traced(self._ast_cache, "chunk_ast")
                     self._ast_cache[ckey] = cached
-                else:
-                    self.stats.chunk_hits += 1
-                    if metrics.enabled:
-                        metrics.counter("cache.chunk_ast.hits").inc()
                 programs.append(cached[0])
                 iface_parts.append(cached[1])
         except VaultError:
             # A chunk the scanner mis-split (or a genuine syntax
             # error): parse the whole unit so errors are reported
             # exactly as the non-incremental path reports them.
-            self.stats.whole_parses += 1
+            self._count_chunks(parsed, len(programs))
+            metrics.counter("session.whole_parses").inc()
             return [parse_program(source, filename)], \
                 self._unit_env_token(source, filename)
+        self._count_chunks(parsed, len(programs))
         env_token = _sha("\x00".join(iface_parts)
                          + f"\x00{filename}\x00{self.units!r}"
                            f"\x00{self.stdlib!r}")
         return programs, env_token
+
+    def _count_chunks(self, parsed: int, seen: int) -> None:
+        """Chunk-cache traffic of one unit, counted once per unit."""
+        metrics = self.telemetry.metrics
+        if parsed:
+            metrics.counter("cache.chunk_ast.misses").inc(parsed)
+        if seen > parsed:
+            metrics.counter("cache.chunk_ast.hits").inc(seen - parsed)
 
     #: first-token kinds of chunks whose whole text is their interface
     #: (type/variant/struct/stateset/key declarations, interfaces and
@@ -587,9 +596,7 @@ class CheckSession:
         before = len(cache)
         self._evict(cache)
         evicted = before - len(cache)
-        if self.telemetry.metrics.enabled:
-            self.telemetry.metrics.counter(
-                f"cache.{layer}.evictions").inc(evicted)
+        self.telemetry.metrics.counter(f"cache.{layer}.evictions").inc(evicted)
         self.telemetry.events.emit(
             "cache_evict",
             f"evicted {evicted} of {before} entries from the "
@@ -635,21 +642,19 @@ class CheckSession:
                 if cached is not None:
                     results[qual] = cached
                     self.stats.last_replayed.append(qual)
-                    self.stats.functions_replayed += 1
                 else:
                     to_check.append((qual, fundef, fp))
-        self.stats.fingerprints_memoized += memoized
-        if metrics.enabled:
-            if memoized:
-                metrics.counter("cache.fingerprint_memo.hits").inc(memoized)
-            misses = len(fn_items) - memoized
-            if misses:
-                metrics.counter("cache.fingerprint_memo.misses").inc(misses)
-            replayed = len(fn_items) - len(to_check)
-            if replayed:
-                metrics.counter("cache.summary.hits").inc(replayed)
-            if to_check:
-                metrics.counter("cache.summary.misses").inc(len(to_check))
+        if memoized:
+            metrics.counter("cache.fingerprint_memo.hits").inc(memoized)
+        misses = len(fn_items) - memoized
+        if misses:
+            metrics.counter("cache.fingerprint_memo.misses").inc(misses)
+        replayed = len(fn_items) - len(to_check)
+        if replayed:
+            metrics.counter("cache.summary.hits").inc(replayed)
+            metrics.counter("session.functions_replayed").inc(replayed)
+        if to_check:
+            metrics.counter("cache.summary.misses").inc(len(to_check))
         if self.shared_store is not None and to_check:
             # L1 missed these: one batched fetch against the shared
             # tiers before paying for any flow analysis.
@@ -661,7 +666,7 @@ class CheckSession:
                 self._summaries.setdefault(fp, _Summary()).store(
                     fundef.span.filename, fundef.span.start.line, diags)
                 self.stats.last_checked.append(qual)
-                self.stats.functions_checked += 1
+            metrics.counter("session.functions_checked").inc(len(to_check))
             self._cache_dirty = True
             if self.shared_store is not None:
                 self._shared_put_summaries(to_check)
@@ -688,8 +693,7 @@ class CheckSession:
                                  effective_jobs, self._cost_by_qual,
                                  self.break_even_seconds)
         self.last_profile["plan"] = sched.describe()
-        if metrics.enabled:
-            self._record_plan_metrics(sched)
+        self._record_plan_metrics(sched)
         partial: Dict[str, Tuple[Tuple[Diagnostic, ...], float]] = {}
         if sched.parallel:
             try:
@@ -703,13 +707,10 @@ class CheckSession:
                 # the batches that *did* complete: those results ride
                 # along on the exception and are reused verbatim.
                 partial = dict(getattr(exc, "partial", None) or {})
-                self.stats.serial_fallbacks += 1
-                self.stats.fallback_reused += len(partial)
-                if metrics.enabled:
-                    metrics.counter("workers.serial_fallbacks").inc()
-                    if partial:
-                        metrics.counter(
-                            "workers.fallback_reused").inc(len(partial))
+                metrics.counter("workers.serial_fallbacks").inc()
+                if partial:
+                    metrics.counter("workers.fallback_reused").inc(
+                        len(partial))
                 self.telemetry.events.emit(
                     "serial_fallback",
                     f"parallel checking failed ({exc}); "
@@ -738,8 +739,7 @@ class CheckSession:
                     max_loop_iterations=self.max_loop_iterations))
             cost = time.perf_counter() - started
             self._cost_by_qual[qual] = cost
-            if metrics.enabled:
-                metrics.histogram("check.function_seconds").observe(cost)
+            metrics.histogram("check.function_seconds").observe(cost)
             out.append(diags)
         return out
 
@@ -779,9 +779,7 @@ class CheckSession:
                                   fault_plan=self.fault_plan,
                                   batch_timeout=self.batch_timeout)
             self._pool = pool
-            self.stats.pool_spawns += 1
-            if metrics.enabled:
-                metrics.counter("workers.pool_spawns").inc()
+            metrics.counter("workers.pool_spawns").inc()
         batches = [[to_check[i][0] for i in batch]
                    for batch in sched.batches]
         with tracer.span("pool_round_trip", batches=len(batches)):
@@ -790,13 +788,12 @@ class CheckSession:
             raise WorkerCrash(
                 f"workers returned {len(result_map)} results "
                 f"for {len(to_check)} functions", partial=result_map)
-        self.stats.parallel_runs += 1
+        metrics.counter("session.parallel_runs").inc()
         out: List[Tuple[Diagnostic, ...]] = []
         for qual, _fundef, _fp in to_check:
             diags, cost = result_map[qual]
             self._cost_by_qual[qual] = cost
-            if metrics.enabled:
-                metrics.histogram("check.function_seconds").observe(cost)
+            metrics.histogram("check.function_seconds").observe(cost)
             out.append(diags)
         return out
 
@@ -842,7 +839,8 @@ class CheckSession:
         record = {"diags": tuple(reporter.diagnostics),
                   "functions": functions}
         with self.telemetry.tracer.span("shared_put_unit"):
-            self.stats.shared_puts += self.shared_store.store({ukey: record})
+            puts = self.shared_store.store({ukey: record})
+        self.telemetry.metrics.counter("session.shared_puts").inc(puts)
         self._mark_unit_seen(ukey)
 
     def _shared_fetch_summaries(self, to_check, results
@@ -879,19 +877,15 @@ class CheckSession:
             if diags is not None:
                 results[qual] = diags
                 self.stats.last_replayed.append(qual)
-                self.stats.functions_replayed += 1
                 hits += 1
                 self._cache_dirty = True
             else:
                 still.append((qual, fundef, fp))
-        self.stats.shared_summary_hits += hits
-        self.stats.shared_summary_misses += len(still)
-        if metrics.enabled:
-            if hits:
-                metrics.counter("cache.shared.summary.hits").inc(hits)
-            if still:
-                metrics.counter("cache.shared.summary.misses").inc(
-                    len(still))
+        if hits:
+            metrics.counter("cache.shared.summary.hits").inc(hits)
+            metrics.counter("session.functions_replayed").inc(hits)
+        if still:
+            metrics.counter("cache.shared.summary.misses").inc(len(still))
         return still
 
     def _shared_put_summaries(self, checked) -> None:
@@ -907,7 +901,8 @@ class CheckSession:
         if payload:
             with self.telemetry.tracer.span("shared_put_summaries",
                                             keys=len(payload)):
-                self.stats.shared_puts += self.shared_store.store(payload)
+                puts = self.shared_store.store(payload)
+            self.telemetry.metrics.counter("session.shared_puts").inc(puts)
 
     # -- persistence -------------------------------------------------------
 
@@ -985,10 +980,7 @@ class CheckSession:
             quarantined = None                # even the move failed
         else:
             self._prune_quarantines(path)
-        self.stats.cache_quarantines += 1
-        if self.telemetry.metrics.enabled:
-            self.telemetry.metrics.counter(
-                "resilience.cache_quarantines").inc()
+        self.telemetry.metrics.counter("resilience.cache_quarantines").inc()
         error = f"{type(exc).__name__}: {exc}"
         self.telemetry.events.emit(
             "cache_corrupt",

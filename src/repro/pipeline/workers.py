@@ -42,14 +42,14 @@ Deadlines come from the scheduler's cost model
 generous multiple of its estimated cost, never less than the
 ``--batch-timeout`` floor.
 
-When the session's telemetry is enabled, each worker records its own
-spans (per-function ``check_function``) and metric deltas and ships
-them back in the ``ok`` result frame; the parent absorbs them, so one
-Chrome trace shows the main process and every worker as separate pid
-tracks.  The :mod:`repro.pipeline.faults` harness hooks into the
-worker loop (dispatch-keyed crash/hang/EOF/garbage faults, per-
-function poison) to make every recovery path above deterministically
-testable.
+Each worker counts into its own metrics registry and, when the
+session traces, records its own spans (per-function
+``check_function``); it ships both back as deltas in the ``ok``
+result frame and the parent absorbs them, so one Chrome trace shows
+the main process and every worker as separate pid tracks.  The
+:mod:`repro.pipeline.faults` harness hooks into the worker loop
+(dispatch-keyed crash/hang/EOF/garbage faults, per-function poison)
+to make every recovery path above deterministically testable.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..core import check_function_diagnostics
 from ..diagnostics import Code, Diagnostic
-from ..obs import (EventLog, MetricsRegistry, NULL_METRICS, NULL_TRACER,
+from ..obs import (EventLog, MetricsRegistry, NULL_TRACER,
                    Telemetry, Tracer)
 from ..obs.trace import activate as activate_tracer
 from .faults import FaultPlan
@@ -166,14 +166,14 @@ def _read_frame(fd: int) -> Optional[object]:
 
 def _worker_loop(ctx, cmd_fd: int, result_fd: int,
                  join_abstraction: bool, max_loop_iterations: int,
-                 trace: bool, metrics_on: bool,
+                 trace: bool,
                  fault_plan: Optional[FaultPlan] = None) -> None:
     """Runs in the forked child until told to exit (never returns)."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     pid = os.getpid()
     tracer = Tracer(process_name=f"checker worker {pid}") if trace \
         else NULL_TRACER
-    metrics = MetricsRegistry() if metrics_on else NULL_METRICS
+    metrics = MetricsRegistry()
     events = EventLog()
     with activate_tracer(tracer):
         while True:
@@ -209,17 +209,13 @@ def _worker_loop(ctx, cmd_fd: int, result_fd: int,
                                 join_abstraction=join_abstraction,
                                 max_loop_iterations=max_loop_iterations)
                         cost = time.perf_counter() - started
-                        if metrics.enabled:
-                            metrics.counter(
-                                "workers.functions_checked").inc()
-                            metrics.histogram(
-                                "check.function_seconds").observe(cost)
+                        metrics.counter("workers.functions_checked").inc()
+                        metrics.histogram(
+                            "check.function_seconds").observe(cost)
                         results.append((qual, tuple(diags), cost))
-                obs = None
-                if trace or metrics_on or events.records:
-                    obs = {"events": events.drain(),
-                           "spans": tracer.drain(),
-                           "metrics": metrics.drain()}
+                obs = {"events": events.drain(),
+                       "spans": tracer.drain(),
+                       "metrics": metrics.drain()}
                 _write_frame(result_fd, ("ok", dispatch_id, results, obs))
             except BaseException:
                 try:
@@ -316,9 +312,8 @@ class WorkerPool:
         #: when this pool last did (or finished) work — long-lived
         #: hosts (the check daemon) reap pools idle past a linger.
         self.last_used = time.monotonic()
-        if self.telemetry.metrics.enabled:
-            for name in RESILIENCE_COUNTERS:
-                self.telemetry.metrics.counter(name)
+        for name in RESILIENCE_COUNTERS:
+            self.telemetry.metrics.counter(name)
         try:
             for _ in range(jobs):
                 self._spawn_one()
@@ -347,7 +342,6 @@ class WorkerPool:
                              self.join_abstraction,
                              self.max_loop_iterations,
                              self.telemetry.tracer.enabled,
-                             self.telemetry.metrics.enabled,
                              self.fault_plan)
             finally:
                 os._exit(1)
@@ -754,20 +748,14 @@ class WorkerPool:
     # -- accounting ----------------------------------------------------------
 
     def _bump(self, name: str, n: int = 1) -> None:
-        """Count one resilience action on both surfaces: the metrics
-        registry (when enabled) and the session's plain stats."""
-        if self.telemetry.metrics.enabled:
-            self.telemetry.metrics.counter(f"resilience.{name}").inc(n)
-        stats = self.telemetry.stats
-        if stats is not None:
-            setattr(stats, name, getattr(stats, name, 0) + n)
+        """Count one resilience action (``resilience.<name>``)."""
+        self.telemetry.metrics.counter(f"resilience.{name}").inc(n)
 
     def _crash_event(self, pid: int, quals: Sequence[str],
                      child_traceback: str, reason: str) -> None:
         """Publish a structured record of a worker failure — the
         post-hoc attribution the old bare stderr warning lacked."""
-        if self.telemetry.metrics.enabled:
-            self.telemetry.metrics.counter("workers.crashes").inc()
+        self.telemetry.metrics.counter("workers.crashes").inc()
         self.telemetry.events.emit(
             "worker_crash",
             f"checker worker (pid {pid}) failed: {reason}",

@@ -77,8 +77,9 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from ..cache import CASTier, MemoryTier, SharedStore, is_remote_spec
 from ..diagnostics import VaultError
-from ..obs import (Telemetry, TimeSeriesRing, TraceRing, Tracer,
-                   bucket_quantile, render_exposition, write_textfile)
+from ..obs import (MetricsRegistry, Telemetry, TimeSeriesRing, TraceRing,
+                   Tracer, bucket_quantile, render_exposition,
+                   write_textfile)
 from ..pipeline import CheckSession
 from ..pipeline.scheduler import BREAK_EVEN_SECONDS
 from .protocol import (PROTOCOL_VERSION, ProtocolError, encode_frame,
@@ -265,6 +266,9 @@ class CheckServer:
         self._stores: Dict[str, SharedStore] = {}
         self.shared_store = self._store_for(None)
         self._sessions: "OrderedDict[str, _SessionEntry]" = OrderedDict()
+        #: every evicted session's counters, summed — so the daemon's
+        #: totals stay monotone when the LRU drops a session.
+        self._retired = MetricsRegistry()
         self._queue: Deque[_Request] = deque()
         self._conns: Dict[int, _Conn] = {}
         self._sel: Optional[selectors.BaseSelector] = None
@@ -286,13 +290,12 @@ class CheckServer:
         self._started_monotonic = time.monotonic()
         self._started_wall = time.time()
         #: the SLO surface: a bounded ring of per-interval rate and
-        #: quantile samples over the daemon's registry, fed by the
+        #: quantile samples over :meth:`merged_metrics`, fed by the
         #: selector loop, served by the ``telemetry`` op; rewrites the
         #: Prometheus textfile (``--prom-file``) on every sample tick.
         self.sample_interval = sample_interval
         self.prom_file = prom_file
-        self.timeseries = TimeSeriesRing(interval=sample_interval) \
-            if self.telemetry.metrics.enabled else None
+        self.timeseries = TimeSeriesRing(interval=sample_interval)
         self._prom_write_failed = False
         #: slow-request capture: requests whose ``server.request`` span
         #: exceeds ``slow_ms`` dump their span tree as Chrome-trace
@@ -306,9 +309,8 @@ class CheckServer:
             directory = trace_dir or os.path.join(
                 os.path.dirname(self.socket_path) or ".", "traces")
             self._trace_ring = TraceRing(directory, keep=trace_keep)
-        if self.telemetry.metrics.enabled:
-            for name in SERVER_COUNTERS:
-                self.telemetry.metrics.counter(name)
+        for name in SERVER_COUNTERS:
+            self.telemetry.metrics.counter(name)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -425,9 +427,8 @@ class CheckServer:
             except OSError:
                 pass
             self._bound = False
-        for entry in self._sessions.values():
-            entry.session.close()
-        self._sessions.clear()
+        while self._sessions:
+            self._retire(self._sessions.popitem(last=False)[1])
         self.telemetry.events.emit(
             "server_stop",
             f"check daemon (pid {os.getpid()}) stopped",
@@ -505,7 +506,7 @@ class CheckServer:
                                             "retry or fall back"},
                         req.req_id)
             shed += 1
-        if shed and self.telemetry.metrics.enabled:
+        if shed:
             self.telemetry.metrics.counter("server.drained").inc(shed)
         self.telemetry.events.emit(
             "server_drain",
@@ -541,8 +542,7 @@ class CheckServer:
             stalled = now - conn.last_io
             if stalled <= self.io_timeout:
                 continue
-            if self.telemetry.metrics.enabled:
-                self.telemetry.metrics.counter("server.conns_reaped").inc()
+            self.telemetry.metrics.counter("server.conns_reaped").inc()
             self.telemetry.events.emit(
                 "conn_reaped",
                 f"dropping stalled client after {stalled:.1f}s "
@@ -557,10 +557,10 @@ class CheckServer:
         """One selector-loop visit to the time-series aggregator: a
         cheap no-op until the sample interval elapses, then one sample
         plus (when configured) an atomic Prometheus textfile rewrite."""
-        if self.timeseries is None:
+        if not self.timeseries.due():
             return
-        sample = self.timeseries.maybe_sample(self.telemetry.metrics)
-        if sample is None or not self.prom_file:
+        self.timeseries.sample(self.merged_metrics())
+        if not self.prom_file:
             return
         try:
             write_textfile(self.prom_file, self.render_exposition())
@@ -574,8 +574,19 @@ class CheckServer:
                     path=self.prom_file,
                     error=f"{type(exc).__name__}: {exc}")
 
+    def merged_metrics(self) -> MetricsRegistry:
+        """The one view every reader uses (the ``telemetry`` and
+        ``stats`` ops, the time-series ring, Prometheus): the daemon's
+        own registry plus every live session's plus the retired sum."""
+        merged = MetricsRegistry()
+        merged.merge(self.telemetry.metrics.snapshot())
+        merged.merge(self._retired.snapshot())
+        for entry in self._sessions.values():
+            merged.merge(entry.session.telemetry.metrics.snapshot())
+        return merged
+
     def render_exposition(self) -> str:
-        """The daemon's registry (plus uptime/queue/session gauges) as
+        """:meth:`merged_metrics` (plus uptime/queue/session gauges) as
         Prometheus text exposition."""
         extra = {
             "vaultc_uptime_seconds":
@@ -585,7 +596,7 @@ class CheckServer:
             "vaultc_draining": 1.0 if self._draining else 0.0,
             "vaultc_sessions": len(self._sessions),
         }
-        return render_exposition(self.telemetry.metrics.snapshot(),
+        return render_exposition(self.merged_metrics().snapshot(),
                                  extra_gauges=extra)
 
     def _handle_event(self, key: selectors.SelectorKey, mask: int) -> None:
@@ -616,8 +627,7 @@ class CheckServer:
             self._conns[sock.fileno()] = conn
             self._sel.register(sock, selectors.EVENT_READ, ("conn", conn))
             self._last_activity = time.monotonic()
-            if self.telemetry.metrics.enabled:
-                self.telemetry.metrics.counter("server.connections").inc()
+            self.telemetry.metrics.counter("server.connections").inc()
 
     def _on_readable(self, conn: _Conn) -> None:
         if conn.closed:
@@ -656,9 +666,8 @@ class CheckServer:
         answer with a structured ``protocol_error`` so a conforming
         client can report *why*, then close cleanly — the reply is
         flushed first (``closing``), never a silent RST."""
-        if self.telemetry.metrics.enabled:
-            self.telemetry.metrics.counter("server.client_errors").inc()
-            self.telemetry.metrics.counter("server.protocol_errors").inc()
+        self.telemetry.metrics.counter("server.client_errors").inc()
+        self.telemetry.metrics.counter("server.protocol_errors").inc()
         self.telemetry.events.emit(
             "client_error",
             f"dropping client after protocol error: {exc}",
@@ -687,8 +696,7 @@ class CheckServer:
 
     def _on_frame(self, conn: _Conn, frame: dict) -> None:
         self._last_activity = time.monotonic()
-        if self.telemetry.metrics.enabled:
-            self.telemetry.metrics.counter("server.requests").inc()
+        self.telemetry.metrics.counter("server.requests").inc()
         op = frame.get("op")
         req_id = frame.get("id")
         if op == "check":
@@ -732,8 +740,7 @@ class CheckServer:
                 req_id=req_id, deadline=deadline))
             return
         if op == "ping":
-            if self.telemetry.metrics.enabled:
-                self.telemetry.metrics.counter("server.pings").inc()
+            self.telemetry.metrics.counter("server.pings").inc()
             self._send(conn, {"ok": True, "pid": os.getpid(),
                               "version": PROTOCOL_VERSION,
                               "socket": self.socket_path,
@@ -743,9 +750,7 @@ class CheckServer:
         if op == "health":
             # Cheap liveness for external orchestration (supervisors,
             # load balancers): no session or store access, one frame.
-            if self.telemetry.metrics.enabled:
-                self.telemetry.metrics.counter(
-                    "server.health_requests").inc()
+            self.telemetry.metrics.counter("server.health_requests").inc()
             self._reply(conn, {"ok": True, "pid": os.getpid(),
                                "version": PROTOCOL_VERSION,
                                "queue_depth": len(self._queue),
@@ -760,9 +765,7 @@ class CheckServer:
             self._send(conn, {"ok": True, "stats": self._stats()})
             return
         if op == "telemetry":
-            if self.telemetry.metrics.enabled:
-                self.telemetry.metrics.counter(
-                    "server.telemetry_requests").inc()
+            self.telemetry.metrics.counter("server.telemetry_requests").inc()
             self._send(conn, {"ok": True, **self._telemetry_payload()})
             return
         if op == "cache_get":
@@ -772,8 +775,7 @@ class CheckServer:
                 self._bad_request(
                     conn, "cache_get needs a list of string 'keys'")
                 return
-            if self.telemetry.metrics.enabled:
-                self.telemetry.metrics.counter("server.cache_gets").inc()
+            self.telemetry.metrics.counter("server.cache_gets").inc()
             blobs = self.shared_store.get_blobs(keys)
             out: Dict[str, str] = {}
             budget = CACHE_REPLY_BUDGET
@@ -792,8 +794,7 @@ class CheckServer:
                     conn, "cache_put needs an object 'blobs' of "
                           "base64 strings")
                 return
-            if self.telemetry.metrics.enabled:
-                self.telemetry.metrics.counter("server.cache_puts").inc()
+            self.telemetry.metrics.counter("server.cache_puts").inc()
             decoded: Dict[str, bytes] = {}
             for key, encoded in blobs.items():
                 if not isinstance(key, str) or not isinstance(encoded, str):
@@ -825,8 +826,7 @@ class CheckServer:
 
     def _bad_request(self, conn: _Conn, message: str,
                      req_id: object = None) -> None:
-        if self.telemetry.metrics.enabled:
-            self.telemetry.metrics.counter("server.bad_requests").inc()
+        self.telemetry.metrics.counter("server.bad_requests").inc()
         self._reply(conn, {"ok": False, "kind": "bad_request",
                            "error": message}, req_id)
 
@@ -851,8 +851,7 @@ class CheckServer:
         """Load-shed one check request: the queue is at ``max_queue``,
         so answer ``busy`` (with a data-driven ``retry_after_ms``)
         instead of buffering without bound."""
-        if self.telemetry.metrics.enabled:
-            self.telemetry.metrics.counter("server.shed").inc()
+        self.telemetry.metrics.counter("server.shed").inc()
         if not self._shedding:
             # Edge-triggered: one event per episode of overload, not
             # one per shed request.
@@ -897,7 +896,7 @@ class CheckServer:
                     if blob is None:
                         blob = encode_frame(response)
                     self._send_bytes(req.conn, blob)
-            if len(live) > 1 and self.telemetry.metrics.enabled:
+            if len(live) > 1:
                 self.telemetry.metrics.counter(
                     "server.coalesced").inc(len(live) - 1)
             self._last_activity = time.monotonic()
@@ -908,9 +907,7 @@ class CheckServer:
         if req.deadline is None or time.monotonic() <= req.deadline:
             return False
         waited_ms = (time.monotonic() - req.enqueued) * 1000.0
-        if self.telemetry.metrics.enabled:
-            self.telemetry.metrics.counter(
-                "server.deadline_exceeded").inc()
+        self.telemetry.metrics.counter("server.deadline_exceeded").inc()
         self.telemetry.events.emit(
             "deadline_exceeded",
             f"request expired after {waited_ms:.1f} ms in queue",
@@ -1005,10 +1002,9 @@ class CheckServer:
         self._check_count += 1
         self._check_seconds_sum += elapsed
         if response is None:
-            if self.telemetry.metrics.enabled:
-                self.telemetry.metrics.counter("server.checks").inc()
-                self.telemetry.metrics.histogram(
-                    "server.check_seconds").observe(elapsed)
+            self.telemetry.metrics.counter("server.checks").inc()
+            self.telemetry.metrics.histogram(
+                "server.check_seconds").observe(elapsed)
             response = {"ok": True,
                         "check_ok": report.ok,
                         "render": report.render(),
@@ -1038,8 +1034,7 @@ class CheckServer:
                 filename=filename,
                 error=f"{type(exc).__name__}: {exc}")
             return
-        if self.telemetry.metrics.enabled:
-            self.telemetry.metrics.counter("server.slow_requests").inc()
+        self.telemetry.metrics.counter("server.slow_requests").inc()
         self.telemetry.events.emit(
             "slow_request",
             f"check of {filename} took {elapsed * 1000:.1f} ms "
@@ -1092,19 +1087,22 @@ class CheckServer:
             cache_dir=options.get("cache_dir"),
             break_even_seconds=BREAK_EVEN_SECONDS if break_even is None
             else float(break_even),
-            # Sessions share the daemon's metrics/events/tracer but
-            # keep their own profile and stats surfaces: sharing one
-            # Telemetry object across sessions would cross-wire the
-            # pool's per-session resilience accounting.
+            # Sessions share the daemon's events and tracer but count
+            # into their own registries (summed on read, see
+            # merged_metrics), so each session row stays per session.
             telemetry=Telemetry(tracer=self.telemetry.tracer,
-                                registry=self.telemetry.metrics,
                                 events=self.telemetry.events),
             shared_store=self._store_for(options.get("shared_cache")))
         while len(self._sessions) >= self.session_limit:
-            _evicted_key, evicted = self._sessions.popitem(last=False)
-            evicted.session.close()
+            self._retire(self._sessions.popitem(last=False)[1])
         self._sessions[key] = _SessionEntry(session)
         return session
+
+    def _retire(self, entry: "_SessionEntry") -> None:
+        """Close a dropped session and fold its counters into the
+        retired sum."""
+        entry.session.close()
+        self._retired.merge(entry.session.telemetry.metrics.snapshot())
 
     def _reap_idle_pools(self) -> None:
         if self.pool_linger is None:
@@ -1137,7 +1135,7 @@ class CheckServer:
         counters: Dict[str, float] = {}
         quantiles: Dict[str, dict] = {}
         gauges: Dict[str, float] = {}
-        for name, data in sorted(self.telemetry.metrics.snapshot().items()):
+        for name, data in sorted(self.merged_metrics().snapshot().items()):
             kind = data.get("type")
             if kind == "counter":
                 counters[name] = data["value"]
@@ -1169,8 +1167,7 @@ class CheckServer:
             "sessions": self._session_rows(),
             "session_limit": self.session_limit,
             "event_counts": self.telemetry.events.counts(),
-            "timeseries": self.timeseries.describe()
-            if self.timeseries is not None else None,
+            "timeseries": self.timeseries.describe(),
             # Per-tier shared-store rows (includes the remote tier's
             # breaker state when a session configured one).
             "shared_cache": {
@@ -1188,6 +1185,7 @@ class CheckServer:
 
     def _stats(self) -> dict:
         out = self.telemetry.snapshot()
+        out["metrics"] = self.merged_metrics().snapshot()
         out["sessions"] = self._session_rows()
         out["pid"] = os.getpid()
         out["socket"] = self.socket_path

@@ -64,7 +64,7 @@ def render_top(reply: dict) -> str:
     lines: List[str] = []
     counters: Dict[str, float] = reply.get("counters", {}) or {}
     quantiles: Dict[str, dict] = reply.get("quantiles", {}) or {}
-    timeseries = reply.get("timeseries") or {}
+    timeseries = reply.get("timeseries", {})
     samples = timeseries.get("samples") or []
     newest = samples[-1] if samples else None
 

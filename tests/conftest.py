@@ -94,7 +94,7 @@ def start_server(tmp_path, **kwargs) -> ServerHandle:
     from repro.server import CheckServer
 
     sock = str(Path(tmp_path) / "daemon.sock")
-    kwargs.setdefault("telemetry", Telemetry(metrics=True))
+    kwargs.setdefault("telemetry", Telemetry())
     server = CheckServer(socket_path=sock, **kwargs)
     server.bind()
     thread = threading.Thread(target=server.serve_forever, daemon=True)

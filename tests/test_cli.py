@@ -185,13 +185,13 @@ class TestObservability:
         assert snap["diagnostics.V0302"]["value"] >= 1
         assert snap["check.function_seconds"]["type"] == "histogram"
 
-    def test_disabled_instrumentation_records_nothing(self, good_file):
+    def test_default_session_counts_but_does_not_trace(self, good_file):
         from repro.pipeline import CheckSession
         session = CheckSession()
         with open(good_file) as handle:
             report = session.check(handle.read())
         assert report.ok
-        assert session.telemetry.metrics.snapshot() == {}
         assert list(session.telemetry.tracer.events) == []
         snap = session.telemetry.snapshot()
-        assert snap["metrics"] == {}
+        assert snap["metrics"]["session.checks"]["value"] == 1
+        assert snap["stats"]["checks"] == 1

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.obs import (EventLog, JsonlEventWriter, MetricsRegistry,
-                       NULL_METRICS, NULL_TRACER, RATIO_BUCKETS, Telemetry,
+                       NULL_TRACER, RATIO_BUCKETS, Telemetry,
                        TimeSeriesRing, TraceRing, Tracer, activate,
                        bucket_quantile, current_tracer, open_event_log,
                        render_exposition, validate_chrome_trace,
@@ -177,14 +177,6 @@ class TestMetrics:
         assert reg.drain()["c"]["value"] == 1
         assert reg.snapshot() == {}
 
-    def test_null_metrics_records_nothing(self):
-        assert not NULL_METRICS.enabled
-        NULL_METRICS.counter("c").inc()
-        NULL_METRICS.gauge("g").set(5)
-        NULL_METRICS.histogram("h").observe(1)
-        assert NULL_METRICS.snapshot() == {}
-        assert NULL_METRICS.render_rows() == []
-
     def test_render_mentions_every_metric(self):
         reg = MetricsRegistry()
         reg.counter("hits").inc(4)
@@ -219,16 +211,16 @@ class TestEventLog:
 
 
 class TestTelemetry:
-    def test_default_is_disabled(self):
+    def test_default_counts_but_does_not_trace(self):
         tele = Telemetry()
-        assert not tele.enabled
         assert tele.tracer is NULL_TRACER
-        assert tele.metrics is NULL_METRICS
+        assert isinstance(tele.metrics, MetricsRegistry)
+        assert tele.metrics is not Telemetry().metrics
         assert tele.events.records == []
 
     def test_enabled_bundle_snapshot(self):
-        tele = Telemetry(trace=True, metrics=True)
-        assert tele.enabled
+        tele = Telemetry(trace=True)
+        assert tele.tracer.enabled
         with tele.tracer.span("s"):
             pass
         tele.metrics.counter("c").inc()

@@ -298,6 +298,34 @@ class TestTelemetry:
         assert "total_seconds" in session.last_profile
         assert "aborted" not in session.last_profile
 
+    def test_stats_fields_read_the_registry(self):
+        from repro.pipeline import fork_available
+        from repro.pipeline.session import STAT_COUNTERS
+        source = synthesize_program(24, seed=17)
+        edited = source + "\nint extra_fn(int x) { return x + 1; }\n"
+        checked = replayed = 0
+        with CheckSession(units=UNITS, break_even_seconds=0.0) as session:
+            for text, jobs in ((source, 1), (edited, 1),
+                               (synthesize_program(24, seed=18), 2)):
+                session.check(text, jobs=jobs)
+                checked += len(session.stats.last_checked)
+                replayed += len(session.stats.last_replayed)
+        stats, metrics = session.stats, session.telemetry.metrics
+        # Read after close(), as the benchmarks do.
+        for field, name in STAT_COUNTERS.items():
+            assert getattr(stats, field) == metrics.value(name), field
+        assert session.telemetry.snapshot()["stats"] == {
+            field: getattr(stats, field) for field in STAT_COUNTERS}
+        assert stats.checks == 3
+        assert stats.context_misses == 3
+        assert stats.functions_checked == checked
+        assert stats.functions_replayed == replayed > 0
+        if fork_available():
+            assert stats.parallel_runs == stats.pool_spawns == 1
+            assert metrics.value("resilience.respawns") == 0
+        with pytest.raises(AttributeError):
+            stats.checks = 0
+
     def test_aborted_check_marks_profile(self, monkeypatch):
         session = fresh_session()
 
@@ -326,7 +354,7 @@ class TestTelemetry:
         if not fork_available():
             pytest.skip("needs os.fork")
         source = synthesize_program(24, seed=17)
-        telemetry = Telemetry(trace=True, metrics=True)
+        telemetry = Telemetry(trace=True)
         with CheckSession(units=UNITS, jobs=2, break_even_seconds=0.0,
                           telemetry=telemetry) as session:
             report = session.check(source)
@@ -440,7 +468,7 @@ class TestFrontEndCaches:
     def test_chunk_cache_serves_unchanged_chunks_on_edit(self):
         from repro.obs import Telemetry
         source = synthesize_program(12, seed=3)
-        session = fresh_session(telemetry=Telemetry(metrics=True))
+        session = fresh_session(telemetry=Telemetry())
         session.check(source, "unit.vlt")
         assert session.stats.chunk_hits == 0
         parses0 = session.stats.chunk_parses
@@ -459,7 +487,7 @@ class TestFrontEndCaches:
         from repro.obs import Telemetry
         from repro.pipeline import session as session_mod
         monkeypatch.setattr(session_mod, "_MAX_CHUNK_ASTS", 4)
-        session = fresh_session(telemetry=Telemetry(metrics=True))
+        session = fresh_session(telemetry=Telemetry())
         session.check(synthesize_program(12, seed=3), "unit.vlt")
         snapshot = session.telemetry.metrics.snapshot()
         assert snapshot["cache.chunk_ast.evictions"]["value"] > 0

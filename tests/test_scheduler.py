@@ -97,6 +97,14 @@ class TestPlan:
         assert not plan(items, jobs=1, recorded_costs=costs).parallel
         assert not plan(items[:1], jobs=4, recorded_costs=costs).parallel
 
+    def test_serial_plan_skips_the_cost_model(self):
+        # No recorded costs and no FunDef to estimate: a serial plan
+        # must not look at either.
+        items = [(f"fn_{i}", None) for i in range(10)]
+        sched = plan(items, jobs=1)
+        assert not sched.parallel and sched.reason == "single worker"
+        assert not plan(items[:1], jobs=4).parallel
+
     def test_recorded_costs_override_the_estimate(self):
         small = _fundef("int f() { return 1; }")
         items = [("a", small), ("b", small)]

@@ -207,6 +207,29 @@ class TestDaemon:
         finally:
             handle.stop()
 
+    def test_evicted_session_counters_stay_in_daemon_totals(self, tmp_path):
+        handle = _start_server(tmp_path, session_limit=1)
+        try:
+            with DaemonClient(handle.socket_path) as client:
+                client.check(OK_SOURCE, "a.vlt", {"jobs": 1})
+                before = client.telemetry()["counters"]
+                # A second option set evicts the first session.
+                client.check(OK_SOURCE, "a.vlt", {"units": ["region"]})
+                client.check(OK_SOURCE, "a.vlt", {"units": ["region"]})
+                tel = client.telemetry()
+                stats = client.stats()["stats"]
+            assert before["cache.context.misses"] == 1
+            # One miss per session: the evicted one's is still summed.
+            assert tel["counters"]["cache.context.misses"] == 2
+            assert tel["counters"]["cache.context.hits"] == 1
+            assert tel["counters"]["session.checks"] == 3
+            assert stats["metrics"]["cache.context.misses"]["value"] == 2
+            # The surviving row counts its own checks only.
+            assert [row["checks"] for row in tel["sessions"]] == [2]
+            assert [row["checks"] for row in stats["sessions"]] == [2]
+        finally:
+            handle.stop()
+
     def test_vault_error_surfaces_and_client_reraises(self, tmp_path):
         handle = _start_server(tmp_path)
         try:
